@@ -17,7 +17,14 @@ import os
 import sys
 from typing import Sequence, TextIO
 
-from .combinatorics import Shape, descent_set, format_chain, format_word, major_index
+from .combinatorics import (
+    Shape,
+    chain_block_sizes,
+    descent_set,
+    format_chain,
+    format_word,
+    major_index,
+)
 from .lattice import classify_first, classify_second, validate_point
 from .numbers import (
     a_polynomials,
@@ -38,16 +45,14 @@ class UsageError(Exception):
 
 def _parse_shape(text: str) -> Shape:
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise UsageError(f"malformed shape {text!r}") from None
-    if any(p < 0 for p in parts):
-        raise UsageError(f"shape parts must be nonnegative: {text!r}")
-    if 0 in parts:
+        shape = Shape.parse(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if shape.letters < text.count(",") + 1:
         print(
             f"warning: dropping zero parts from shape {text!r}", file=sys.stderr
         )
-    return Shape(parts)
+    return shape
 
 
 def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]:
@@ -224,14 +229,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("need --dmax or --shape")
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
-    jobs = suite_jobs(
-        d_max=args.dmax,
-        n_max=args.nmax,
-        l_max=args.lmax,
-        include_q=args.q,
-        identities=identities,
-        shapes=shapes,
-    )
+    try:
+        jobs = suite_jobs(
+            d_max=args.dmax,
+            n_max=args.nmax,
+            l_max=args.lmax,
+            include_q=args.q,
+            identities=identities,
+            shapes=shapes,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     run = SuiteRun(jobs, workers=args.workers, time_limit=args.time_limit)
 
     def emit(out: TextIO) -> int:
@@ -270,15 +278,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     point = _parse_point(args.point, shape, args.n)
     word = classify_first(point)
     chain = classify_second(point)
-    blocks = [
-        sum(b) - sum(a) for a, b in zip(chain, chain[1:])
-    ]
     doc = {
         "sigma": format_word(word),
         "descents": list(descent_set(word)),
         "maj": major_index(word),
         "chain": format_chain(chain),
-        "block_sizes": blocks,
+        "block_sizes": list(chain_block_sizes(chain)),
         "k": len(chain) - 1,
     }
     _write(json.dumps(doc, indent=2) + "\n", args.output)

@@ -43,7 +43,10 @@ class Shape:
             parts = tuple(int(tok) for tok in text.split(","))
         except ValueError:
             raise ValueError(f"malformed shape {text!r}") from None
-        return cls(parts)
+        try:
+            return cls(parts)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: {text!r}") from None
 
     @property
     def size(self) -> int:

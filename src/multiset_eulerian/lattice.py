@@ -9,11 +9,13 @@ nested tuples grouped by letter, mirroring the text form "x11,x12;x21".
 Each point is classified in two ways:
 
 * first classification: the reading word obtained by sorting all
-  coordinates by value descending, breaking ties by letter and then by
-  position within the letter.  The fibers are half-open permutation
-  regions; their sizes and q-weights have binomial closed forms.
+  coordinates by value descending, breaking ties by letter.  The fibers
+  are half-open permutation regions; their sizes and q-weights have
+  binomial closed forms.
 * second classification: the chain of cumulative letter contents of the
-  distinct coordinate values, read from the largest value down.  The
+  distinct coordinate values, read from the largest value down.  It
+  costs one sort per point: the (value, letter) pairs are swept in
+  descending order and a vertex is cut wherever the value drops.  The
   fibers are chain regions.  Their exact q-weight is computed by
   :func:`chain_weight_sum`, which weights each value class by its block
   size; this is deliberately not assumed to have a Gaussian-binomial
@@ -69,7 +71,7 @@ def point_count(shape: Shape, n: int) -> int:
 
 
 def coordinate_sum(point: Point) -> int:
-    return sum(sum(xs) for xs in point)
+    return sum(map(sum, point))
 
 
 def validate_point(point: Point, shape: Shape, n: int) -> None:
@@ -90,23 +92,22 @@ def validate_point(point: Point, shape: Shape, n: int) -> None:
 
 def classify_first(point: Point) -> Word:
     """Reading word of a point: coordinates sorted by value descending
-    with ties broken by letter, then by position within the letter.
+    with ties broken by letter.
 
-    The tie order makes the classification total and forces a strict
-    value drop at every descent of the resulting word, which is the
-    half-open region condition.
+    Equal values within one letter are interchangeable, so their order
+    never changes the word.  The tie order makes the classification
+    total and forces a strict value drop at every descent of the
+    resulting word, which is the half-open region condition.
     """
     keyed = []
     for j, xs in enumerate(point, start=1):
-        for i, v in enumerate(xs, start=1):
-            keyed.append((-v, j, i))
+        for v in xs:
+            keyed.append((-v, j))
     keyed.sort()
-    word = tuple(j for _, j, _ in keyed)
-    assert all(
-        keyed[h - 1][0] < keyed[h][0]
-        for h in range(1, len(word))
-        if word[h - 1] > word[h]
-    )
+    word = tuple([j for _, j in keyed])
+    for h in range(1, len(word)):
+        if word[h - 1] > word[h]:
+            assert keyed[h - 1][0] < keyed[h][0]
     return word
 
 
@@ -115,12 +116,23 @@ def classify_second(point: Point) -> Chain:
 
     The top value class may sit at the dilation bound and the bottom one
     at 0; only the gaps between classes are strict, so the number of
-    blocks k is simply the number of distinct coordinate values.
+    blocks k is simply the number of distinct coordinate values.  One
+    descending sort of the (value, letter) pairs gives the chain: the
+    running content vector becomes a vertex wherever the value drops.
     """
-    values = sorted({v for xs in point for v in xs}, reverse=True)
-    chain = [(0,) * len(point)]
-    for val in values:
-        chain.append(tuple(sum(1 for v in xs if v >= val) for xs in point))
+    content = [0] * len(point)
+    chain = [tuple(content)]
+    pairs = [(v, j) for j, xs in enumerate(point) for v in xs]
+    if not pairs:
+        return tuple(chain)
+    pairs.sort(reverse=True)
+    current = pairs[0][0]
+    for v, j in pairs:
+        if v != current:
+            chain.append(tuple(content))
+            current = v
+        content[j] += 1
+    chain.append(tuple(content))
     return tuple(chain)
 
 

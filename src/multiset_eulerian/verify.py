@@ -26,6 +26,7 @@ from .combinatorics import (
     Chain,
     Shape,
     iter_all_chains,
+    iter_chains,
     iter_permutations,
     iter_shapes,
 )
@@ -239,13 +240,11 @@ def _records_chain_q(shape: Shape, n_max: int) -> list[CheckRecord]:
 def _decomposition_record(kind: str, shape: Shape, n: int) -> CheckRecord:
     """Classify every lattice point and compare each fiber with its
     closed count and closed q-weight."""
-    counts: dict = {}
     weights: dict = {}
     total = 0
     second = kind == "second"
     for point in iter_points(shape, n):
         key = classify_second(point) if second else classify_first(point)
-        counts[key] = counts.get(key, 0) + 1
         bucket = weights.setdefault(key, {})
         s = coordinate_sum(point)
         bucket[s] = bucket.get(s, 0) + 1
@@ -253,21 +252,26 @@ def _decomposition_record(kind: str, shape: Shape, n: int) -> CheckRecord:
     expected_total = point_count(shape, n)
     ok = total == expected_total
     if second:
-        for chain in iter_all_chains(shape):
-            k = len(chain) - 1
-            if counts.pop(chain, 0) != chain_region_count(k, n):
-                ok = False
-            got = QPolynomial.from_exponent_counts(weights.pop(chain, {}))
-            if got != chain_weight_sum(chain, n):
-                ok = False
+        # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
+        # points and weight zero.  Those chains are not visited; a point
+        # classified into one stays in `weights` and fails the record below.
+        for k in range(1, min(shape.size, n + 1) + 1):
+            for chain in iter_chains(shape, k):
+                bucket = weights.pop(chain, {})
+                if sum(bucket.values()) != chain_region_count(k, n):
+                    ok = False
+                got = QPolynomial.from_exponent_counts(bucket)
+                if got != chain_weight_sum(chain, n):
+                    ok = False
     else:
         for word in iter_permutations(shape):
-            if counts.pop(word, 0) != region_point_count(word, n):
+            bucket = weights.pop(word, {})
+            if sum(bucket.values()) != region_point_count(word, n):
                 ok = False
-            got = QPolynomial.from_exponent_counts(weights.pop(word, {}))
+            got = QPolynomial.from_exponent_counts(bucket)
             if got != region_gf(word, n):
                 ok = False
-    if counts:
+    if weights:
         # a point was classified into a fiber that enumeration never produced
         ok = False
     return CheckRecord(n, expected_total, total, ok)
@@ -333,7 +337,18 @@ def suite_jobs(
     shapes: "Iterable[Shape] | None" = None,
 ) -> list[Job]:
     """Ordered job list for a suite run: identities in registry order,
-    shapes ordered by size, then part count, then lexicographically."""
+    shapes ordered by size, then part count, then lexicographically.
+
+    Ranges that would select no work or an invalid level (n_max < 0,
+    d_max < 1, l_max < 1) raise ValueError instead of giving an empty or
+    failing run.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if d_max is not None and d_max < 1:
+        raise ValueError("d_max must be at least 1")
+    if l_max is not None and l_max < 1:
+        raise ValueError("l_max must be at least 1")
     if identities is None:
         selected = [
             i

@@ -110,3 +110,25 @@ def brute_chains(parts: tuple[int, ...], k: int) -> set[tuple[tuple[int, ...], .
         if all(increases(u, v) for u, v in zip(seq, seq[1:])):
             chains.add(seq)
     return chains
+
+
+def brute_classify_first(point: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Reading word by definition: sort (-value, letter, slot) triples."""
+    triples = sorted(
+        (-v, j, i)
+        for j, xs in enumerate(point, start=1)
+        for i, v in enumerate(xs, start=1)
+    )
+    return tuple(j for _, j, _ in triples)
+
+
+def brute_classify_second(
+    point: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[int, ...], ...]:
+    """Chain by definition: for each distinct value, from the largest
+    down, count the coordinates of every letter at or above it."""
+    values = sorted({v for xs in point for v in xs}, reverse=True)
+    origin = tuple(0 for _ in point)
+    return (origin,) + tuple(
+        tuple(sum(1 for v in xs if v >= val) for xs in point) for val in values
+    )

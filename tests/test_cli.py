@@ -88,6 +88,11 @@ class TestTable:
         assert code == 2
         assert "malformed shape" in err
 
+    def test_negative_part(self, capsys):
+        code, _, err = run_cli(capsys, "table", "--shape=-1,2", "--kind", "lah")
+        assert code == 2
+        assert "shape parts must be nonnegative: '-1,2'" in err
+
 
 class TestQTable:
     def test_a_family_json(self, capsys):
@@ -283,6 +288,21 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
         assert "need --dmax or --shape" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--shape", "1,1", "--nmax", "-1"),
+            ("--dmax", "0"),
+            ("--dmax", "-3"),
+            ("--dmax", "3", "--lmax", "0"),
+        ],
+    )
+    def test_bad_range_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_unknown_identity(self, capsys):
         code, _, err = run_cli(

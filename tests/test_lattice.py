@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multiset_eulerian.combinatorics import (
     Shape,
@@ -31,7 +33,11 @@ from multiset_eulerian.lattice import (
 )
 from multiset_eulerian.numbers import dilation_count
 from multiset_eulerian.qpoly import QPolynomial, binomial, multinomial, q_binomial
-from oracles import weakly_decreasing_tuples
+from oracles import (
+    brute_classify_first,
+    brute_classify_second,
+    weakly_decreasing_tuples,
+)
 
 
 class TestPoints:
@@ -134,6 +140,33 @@ class TestClassifySecond:
                     k = len(chain) - 1
                     assert tallies.pop(chain, 0) == chain_region_count(k, n)
                 assert not tallies
+
+
+class TestClassifierOracles:
+    def test_every_point_small_shapes(self):
+        for shape in iter_shapes(5):
+            for n in range(4):
+                factors = [weakly_decreasing_tuples(p, n) for p in shape.parts]
+                for point in itertools.product(*factors):
+                    assert classify_first(point) == brute_classify_first(point)
+                    assert classify_second(point) == brute_classify_second(point)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=1, max_size=4),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_random_points_with_ties(self, factors):
+        # values in 0..3 over up to 16 coordinates tie across letters often
+        point = tuple(tuple(sorted(xs, reverse=True)) for xs in factors)
+        assert classify_first(point) == brute_classify_first(point)
+        assert classify_second(point) == brute_classify_second(point)
+
+    def test_empty_point(self):
+        assert classify_first(()) == brute_classify_first(()) == ()
+        assert classify_second(()) == brute_classify_second(()) == ((),)
 
 
 class TestRegionWeights:

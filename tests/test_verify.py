@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from multiset_eulerian import verify
 from multiset_eulerian.combinatorics import Shape, iter_shapes
 from multiset_eulerian.verify import (
     EXPECTED_FAIL,
@@ -89,6 +90,19 @@ class TestPassingIdentities:
             for n in range(4):
                 assert check_decomposition("first", shape, n).passed
                 assert check_decomposition("second", shape, n).passed
+
+    def test_point_in_empty_chain_fiber_fails(self, monkeypatch):
+        # at n = 0 a two-block chain has C(1, 2) = 0 points, so the oracle
+        # never visits it; a point classified into it must still fail
+        monkeypatch.setattr(
+            verify, "classify_second", lambda point: ((0, 0), (1, 0), (1, 1))
+        )
+        assert not check_decomposition("second", Shape((1, 1)), 0).passed
+
+    def test_point_in_wrong_region_fails(self, monkeypatch):
+        # the only point at n = 0 reads 12; the region of 21 is empty there
+        monkeypatch.setattr(verify, "classify_first", lambda point: (2, 1))
+        assert not check_decomposition("first", Shape((1, 1)), 0).passed
 
     def test_decomposition_kind_validation(self):
         with pytest.raises(ValueError):
@@ -209,3 +223,12 @@ class TestSuite:
             check_identity("worpitzky", Shape(()), 1)
         with pytest.raises(ValueError):
             check_identity("worpitzky", Shape((1,)), -1)
+        for bad_range in (
+            {"d_max": 2, "n_max": -1},
+            {"shapes": [Shape((1, 1))], "n_max": -1},
+            {"d_max": 0},
+            {"d_max": -3},
+            {"d_max": 3, "l_max": 0},
+        ):
+            with pytest.raises(ValueError):
+                suite_jobs(**bad_range)
