@@ -238,9 +238,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             identities=identities,
             shapes=shapes,
         )
+        run = SuiteRun(jobs, workers=args.workers, time_limit=args.time_limit)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    run = SuiteRun(jobs, workers=args.workers, time_limit=args.time_limit)
 
     def emit(out: TextIO) -> int:
         unexpected = False

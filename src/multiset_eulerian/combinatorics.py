@@ -115,16 +115,29 @@ def iter_chains(shape: Shape, k: int) -> Iterator[Chain]:
     if k < 1 or k > d:
         return
 
+    # vertex -> [(vertex above it, elements still to place)] in product
+    # order; at most prod(dj + 1) entries, dropped with the generator
+    successors: dict[Vector, list[tuple[Vector, int]]] = {}
+
+    def above(current: Vector) -> list[tuple[Vector, int]]:
+        out = successors.get(current)
+        if out is None:
+            ranges = [range(c, t + 1) for c, t in zip(current, target)]
+            out = [
+                (nxt, d - sum(nxt))
+                for nxt in itertools.product(*ranges)
+                if nxt != current
+            ]
+            successors[current] = out
+        return out
+
     def extend(prefix: Chain, current: Vector, steps: int) -> Iterator[Chain]:
         if steps == 1:
             yield prefix + (target,)
             return
-        ranges = [range(c, t + 1) for c, t in zip(current, target)]
-        for nxt in itertools.product(*ranges):
-            if nxt == current:
-                continue
+        for nxt, left in above(current):
             # the remaining steps each add at least one element
-            if d - sum(nxt) >= steps - 1:
+            if left >= steps - 1:
                 yield from extend(prefix + (nxt,), nxt, steps - 1)
 
     yield from extend((origin,), origin, k)
@@ -147,7 +160,13 @@ def chain_major_index(chain: Chain) -> int:
 
 def chain_block_sizes(chain: Chain) -> tuple[int, ...]:
     """Sizes of the successive difference blocks; they sum to d."""
-    return tuple(sum(b) - sum(a) for a, b in zip(chain, chain[1:]))
+    sizes = []
+    prev = sum(chain[0])
+    for v in chain[1:]:
+        total = sum(v)
+        sizes.append(total - prev)
+        prev = total
+    return tuple(sizes)
 
 
 def chain_to_partition(chain: Chain) -> Blocks:

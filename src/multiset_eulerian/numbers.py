@@ -214,8 +214,10 @@ def c_polynomials(shape: Shape, method: str = "enumeration") -> QPolyFamily:
     """Joint major-index polynomials of (permutation, cut-chain) pairs.
 
     The enumeration route walks every permutation and every way of
-    cutting it into k contiguous nonempty segments, building the actual
-    chain and reading off its major index.  The closed route is the
+    cutting it into k contiguous nonempty segments.  The cut chain's
+    internal vertices are the word's prefix contents at the cuts, so its
+    major index is read by summing those vertices' coordinate totals,
+    computed once per word.  The closed route is the
     multinomial times a shifted Gaussian binomial.  The two agree
     because the major index of a cut chain equals the sum of its cut
     positions.
@@ -235,15 +237,17 @@ def c_polynomials(shape: Shape, method: str = "enumeration") -> QPolyFamily:
     if method != "enumeration":
         raise ValueError(f"unknown method {method!r}")
     tallies: list[dict[int, int]] = [{} for _ in range(d)]
-    origin = (0,) * shape.letters
+    # cut sets for k = 1..d, as indices 0..d-2 of the internal prefixes
+    cut_sets = [
+        list(itertools.combinations(range(d - 1), k - 1)) for k in range(1, d + 1)
+    ]
     for word in iter_permutations(shape):
-        prefixes = word_prefix_contents(word)
-        full = prefixes[-1]
-        for k in range(1, d + 1):
-            bucket = tallies[k - 1]
-            for cuts in itertools.combinations(range(1, d), k - 1):
-                chain = (origin,) + tuple(prefixes[c - 1] for c in cuts) + (full,)
-                maj = chain_major_index(chain)
+        totals = [sum(v) for v in word_prefix_contents(word)]
+        for bucket, cuts_k in zip(tallies, cut_sets):
+            for cuts in cuts_k:
+                maj = 0
+                for c in cuts:
+                    maj += totals[c]
                 bucket[maj] = bucket.get(maj, 0) + 1
     return QPolyFamily(
         shape, "C", tuple(QPolynomial.from_exponent_counts(t) for t in tallies)

@@ -16,15 +16,15 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
-    Chain,
     Shape,
+    chain_block_sizes,
     iter_all_chains,
     iter_chains,
     iter_permutations,
@@ -226,13 +226,20 @@ def _records_lah_q(shape: Shape, n_max: int) -> list[CheckRecord]:
 
 
 def _records_chain_q(shape: Shape, n_max: int) -> list[CheckRecord]:
-    chains = list(iter_all_chains(shape))
+    # A chain's weight is a function of its block sizes alone, so the
+    # per-chain sum is regrouped exactly: one weight per block-size tuple,
+    # taken from a representative chain, times the number of chains with
+    # that tuple.  Every chain is still enumerated.
+    groups: dict[tuple[int, ...], list] = {}
+    for chain in iter_all_chains(shape):
+        group = groups.setdefault(chain_block_sizes(chain), [chain, 0])
+        group[1] += 1
     out = []
     for n in range(n_max + 1):
         lhs = f1(shape, n)
         rhs = QPolynomial()
-        for chain in chains:
-            rhs = rhs + chain_weight_sum(chain, n)
+        for rep, count in groups.values():
+            rhs = rhs + chain_weight_sum(rep, n) * count
         out.append(CheckRecord(n, lhs, rhs, lhs == rhs))
     return out
 
@@ -387,32 +394,40 @@ class SuiteRun:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        # `not >=` also rejects NaN, which compares false with everything
+        if time_limit is not None and not time_limit >= 0:
+            raise ValueError("time_limit must be a nonnegative number")
         self.jobs = list(jobs)
         self.workers = workers
         self.time_limit = time_limit
         self.truncated = False
 
-    def _expired(self, start: float) -> bool:
-        return self.time_limit is not None and (
-            time.monotonic() - start >= self.time_limit
-        )
+    def _remaining(self, start: float) -> "float | None":
+        """Seconds left in the budget (at least 0), or None without one."""
+        if self.time_limit is None:
+            return None
+        return max(0.0, self.time_limit - (time.monotonic() - start))
 
     def __iter__(self) -> Iterator[IdentityReport]:
         start = time.monotonic()
         if self.workers == 1:
             for job in self.jobs:
-                if self._expired(start):
+                if self._remaining(start) == 0:
                     self.truncated = True
                     return
                 yield _run_job(job)
             return
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            for report in pool.map(_run_job, self.jobs):
-                yield report
-                if self._expired(start):
+        # Leaving the block terminates the workers, so jobs still running
+        # when the budget runs out are killed rather than waited for.
+        with multiprocessing.Pool(self.workers) as pool:
+            results = pool.imap(_run_job, self.jobs)
+            for _ in self.jobs:
+                try:
+                    report = results.next(self._remaining(start))
+                except multiprocessing.TimeoutError:
                     self.truncated = True
-                    pool.shutdown(wait=False, cancel_futures=True)
                     return
+                yield report
 
 
 @dataclass

@@ -284,6 +284,15 @@ class TestVerify:
         marker = json.loads(lines[-1])
         assert marker == {"truncated": True, "completed": 0, "total": 15}
 
+    @pytest.mark.parametrize("limit", ["-5", "nan"])
+    def test_bad_time_limit_is_usage_error(self, capsys, limit):
+        code, out, err = run_cli(
+            capsys, "verify", "--dmax", "2", "--time-limit", limit
+        )
+        assert code == 2
+        assert out == ""
+        assert "time_limit" in err
+
     def test_missing_scope(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2

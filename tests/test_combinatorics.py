@@ -108,10 +108,14 @@ class TestChains:
                 assert len(set(chains)) == len(chains)
 
     def test_against_subset_oracle(self):
-        for parts in ((1, 1), (2, 1), (1, 1, 1), (2, 2)):
-            shape = Shape(parts)
+        # content and order: the oracle's chains sorted by flattened vertices
+        for shape in iter_shapes(4):
             for k in range(1, shape.size + 1):
-                assert set(iter_chains(shape, k)) == brute_chains(parts, k)
+                expected = sorted(
+                    brute_chains(shape.parts, k),
+                    key=lambda ch: tuple(c for v in ch for c in v),
+                )
+                assert list(iter_chains(shape, k)) == expected
 
     def test_counts_match_partition_oracle(self):
         for shape in iter_shapes(5):

@@ -209,7 +209,7 @@ class TestQFamilies:
         )
 
     def test_c_enum_matches_closed(self):
-        for shape in iter_shapes(5):
+        for shape in iter_shapes(6):
             assert (
                 c_polynomials(shape).values
                 == c_polynomials(shape, method="closed").values

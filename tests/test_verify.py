@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
 from multiset_eulerian import verify
 from multiset_eulerian.combinatorics import Shape, iter_shapes
+from multiset_eulerian.lattice import chain_weight_sum
+from multiset_eulerian.qpoly import QPolynomial
 from multiset_eulerian.verify import (
     EXPECTED_FAIL,
     Q_IDENTITIES,
@@ -14,6 +17,7 @@ from multiset_eulerian.verify import (
     run_suite,
     suite_jobs,
 )
+from oracles import brute_chains
 
 
 class TestRegistry:
@@ -80,6 +84,18 @@ class TestPassingIdentities:
     def test_chain_q_corrected(self):
         for shape in iter_shapes(4):
             assert check_identity("chain_q_corrected", shape, 5).passed
+
+    def test_chain_q_rhs_is_the_per_chain_sum(self):
+        # the checker groups chains by block sizes; its rhs must equal the
+        # ungrouped sum over independently enumerated chains
+        for shape in iter_shapes(4):
+            records = check_identity("chain_q_corrected", shape, 4).records
+            for n, record in enumerate(records):
+                expected = QPolynomial()
+                for k in range(1, shape.size + 1):
+                    for chain in brute_chains(shape.parts, k):
+                        expected = expected + chain_weight_sum(chain, n)
+                assert record.rhs == expected
 
     def test_degenerate_single_cell(self):
         for identity in IdentityId:
@@ -212,11 +228,30 @@ class TestSuite:
         assert result.reports == []
         assert not result.ok
 
+    def test_pool_does_not_wait_for_running_job(self):
+        # decomp_second on 1^8 up to n = 6 classifies about 7.9 million
+        # points; the levels up to n = 4 alone (0.46 million) take seconds,
+        # so the job runs far beyond both the 0.2 s budget and the 5 s bound
+        start = time.monotonic()
+        result = run_suite(
+            shapes=[Shape((1,) * 8)],
+            identities=["decomp_second"],
+            n_max=6,
+            workers=2,
+            time_limit=0.2,
+        )
+        assert time.monotonic() - start < 5
+        assert result.truncated
+        assert result.reports == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             suite_jobs()
         with pytest.raises(ValueError):
             SuiteRun([], workers=0)
+        for bad_limit in (-5.0, float("nan")):
+            with pytest.raises(ValueError):
+                SuiteRun([], time_limit=bad_limit)
         with pytest.raises(ValueError):
             check_identity("mystery", Shape((1,)), 1)
         with pytest.raises(ValueError):
