@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Word = tuple[int, ...]
 Vector = tuple[int, ...]
@@ -147,10 +147,6 @@ def iter_all_chains(shape: Shape) -> Iterator[Chain]:
     """Chains of every dimension k = 1..d, in increasing k."""
     for k in range(1, shape.size + 1):
         yield from iter_chains(shape, k)
-
-
-def chain_dimension(chain: Chain) -> int:
-    return len(chain) - 1
 
 
 def chain_major_index(chain: Chain) -> int:

@@ -14,20 +14,19 @@ The q-polynomial families are indexed 1..d as well.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 from .combinatorics import (
     Shape,
-    Word,
     chain_major_index,
     descent_set,
     iter_chains,
     iter_permutations,
     word_prefix_contents,
 )
+from .lattice import point_count
 from .qpoly import QPolynomial, binomial, multinomial, q_binomial
-import itertools
 
 
 @dataclass(frozen=True)
@@ -70,14 +69,6 @@ def _require_nonempty(shape: Shape) -> None:
         raise ValueError("operation requires a shape with d >= 1")
 
 
-def dilation_count(shape: Shape, n: int) -> int:
-    """Product count of the n-fold dilation's lattice points.
-
-    This is the shared right-hand side of the triangular systems.
-    """
-    return math.prod(binomial(n + p, p) for p in shape.parts)
-
-
 def eulerian_row_enum(shape: Shape) -> EulerianRow:
     """Count permutations by number of descents, by full enumeration."""
     _require_nonempty(shape)
@@ -94,7 +85,7 @@ def eulerian_closed(shape: Shape, i: int) -> int:
     if not 0 <= i <= d - 1:
         raise ValueError(f"descent index {i} outside 0..{d - 1}")
     return sum(
-        (-1) ** (i - h) * binomial(d + 1, i - h) * dilation_count(shape, h)
+        (-1) ** (i - h) * binomial(d + 1, i - h) * point_count(shape, h)
         for h in range(i + 1)
     )
 
@@ -136,7 +127,7 @@ def stirling2_closed(shape: Shape, k: int, variant: str = "corrected") -> int:
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return sum(
-        (-1) ** (k - 1 - h) * binomial(k, h + offset) * dilation_count(shape, h)
+        (-1) ** (k - 1 - h) * binomial(k, h + offset) * point_count(shape, h)
         for h in range(k)
     )
 
@@ -263,7 +254,7 @@ def solve_from_identity(kind: str, shape: Shape) -> EulerianRow | StirlingRow:
     """
     _require_nonempty(shape)
     d = shape.size
-    rhs = [dilation_count(shape, n) for n in range(d)]
+    rhs = [point_count(shape, n) for n in range(d)]
     if kind == "eulerian":
         row: list[int] = []
         for n in range(d):

@@ -202,7 +202,6 @@ class QPolynomial:
 
 ZERO = QPolynomial()
 ONE = QPolynomial((1,))
-Q = QPolynomial((0, 1))
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,12 @@ identities are known not to hold in general (stirling2_q and lah_q):
 they are marked as not expected to pass, and a suite run treats their
 failures as informative output instead of an error.
 
+The registry table is the one place where an identity is declared: its
+`IdentityId` member carries the name and the flags, and its `_CHECKERS`
+entry says what to compute.  The six expansion identities share the form
+lhs(n) = sum over k of row[k] * basis_k(n), so their entries name only the
+lhs, the row and the basis.  Every checker runs through one n-loop.
+
 Suite runs are deterministic: jobs are ordered by (identity, shape) and
 worker pools preserve that order, so the rendered report stream is
 byte-identical for any worker count.
@@ -20,7 +26,8 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (
     Shape,
@@ -48,40 +55,40 @@ from .numbers import (
     b_polynomials,
     c_polynomials,
     eulerian_row_enum,
-    lah_ordered,
+    lah_row,
     stirling2_row_enum,
 )
 from .qpoly import QPolynomial, binomial, multinomial, q_binomial
 
-Value = "int | QPolynomial"
-
 
 class IdentityId(str, Enum):
-    """Registered identities and decomposition oracles."""
+    """Registered identities and decomposition oracles, in registry order.
 
-    WORPITZKY = "worpitzky"
-    CARLITZ_Q = "carlitz_q"
-    STIRLING2 = "stirling2"
-    STIRLING2_Q = "stirling2_q"
-    LAH = "lah"
-    LAH_Q = "lah_q"
-    CHAIN_Q_CORRECTED = "chain_q_corrected"
-    DECOMP_FIRST = "decomp_first"
-    DECOMP_SECOND = "decomp_second"
+    Each member is declared once with its two flags: `is_q` marks the
+    identities that compute q-polynomials rather than integers, and
+    `expected` is False where a failure is informative rather than an
+    error.  The checker that computes each one is in `_CHECKERS`.
+    """
 
+    is_q: bool
+    expected: bool
 
-# identities whose failure is informative rather than an error
-EXPECTED_FAIL = frozenset({IdentityId.STIRLING2_Q, IdentityId.LAH_Q})
+    def __new__(cls, value: str, is_q: bool, expected: bool) -> "IdentityId":
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.is_q = is_q
+        member.expected = expected
+        return member
 
-# identities that compute q-polynomials rather than integers
-Q_IDENTITIES = frozenset(
-    {
-        IdentityId.CARLITZ_Q,
-        IdentityId.STIRLING2_Q,
-        IdentityId.LAH_Q,
-        IdentityId.CHAIN_Q_CORRECTED,
-    }
-)
+    WORPITZKY = "worpitzky", False, True
+    CARLITZ_Q = "carlitz_q", True, True
+    STIRLING2 = "stirling2", False, True
+    STIRLING2_Q = "stirling2_q", True, False
+    LAH = "lah", False, True
+    LAH_Q = "lah_q", True, False
+    CHAIN_Q_CORRECTED = "chain_q_corrected", True, True
+    DECOMP_FIRST = "decomp_first", False, True
+    DECOMP_SECOND = "decomp_second", False, True
 
 
 @dataclass(frozen=True)
@@ -151,81 +158,44 @@ def _encode(value: "int | QPolynomial") -> "str | list[str]":
     return str(value)
 
 
-def _records_worpitzky(shape: Shape, n_max: int) -> list[CheckRecord]:
-    d = shape.size
-    row = eulerian_row_enum(shape).values
-    out = []
-    for n in range(n_max + 1):
-        lhs = point_count(shape, n)
-        rhs = sum(row[i] * binomial(n - i + d, d) for i in range(d))
-        out.append(CheckRecord(n, lhs, rhs, lhs == rhs))
-    return out
+Level = Callable[[int], CheckRecord]
+Checker = Callable[[Shape, int], "list[CheckRecord]"]
 
 
-def _records_carlitz_q(shape: Shape, n_max: int) -> list[CheckRecord]:
-    d = shape.size
-    fam = a_polynomials(shape).values
-    out = []
-    for n in range(n_max + 1):
-        lhs = f1(shape, n)
-        rhs: QPolynomial = QPolynomial()
-        for i in range(1, d + 1):
-            rhs = rhs + fam[i - 1] * q_binomial(n + i, d)
-        out.append(CheckRecord(n, lhs, rhs, lhs == rhs))
-    return out
+def _checker(prepare: Callable[[Shape], Level]) -> Checker:
+    """The one n-loop: `prepare(shape)` runs once per job and returns the
+    function that builds the record of each level n = 0..n_max.
+
+    The checker returns a list, not a generator, so a job's work is done
+    inside the checker call.
+    """
+
+    def check(shape: Shape, n_max: int) -> list[CheckRecord]:
+        level = prepare(shape)
+        return [level(n) for n in range(n_max + 1)]
+
+    return check
 
 
-def _records_stirling2(shape: Shape, n_max: int) -> list[CheckRecord]:
-    d = shape.size
-    row = stirling2_row_enum(shape).values
-    out = []
-    for n in range(n_max + 1):
-        lhs = point_count(shape, n)
-        rhs = sum(row[k - 1] * binomial(n + 1, k) for k in range(1, d + 1))
-        out.append(CheckRecord(n, lhs, rhs, lhs == rhs))
-    return out
+def _expansion(lhs, row, basis) -> Checker:
+    """Checker for lhs(shape, n) = sum over k = 1..d of
+    row(shape)[k - 1] * basis(d, n, k), the row computed once per shape."""
+
+    def prepare(shape: Shape) -> Level:
+        d = shape.size
+        values = row(shape)
+
+        def level(n: int) -> CheckRecord:
+            left = lhs(shape, n)
+            right = sum(values[k - 1] * basis(d, n, k) for k in range(1, d + 1))
+            return CheckRecord(n, left, right, left == right)
+
+        return level
+
+    return _checker(prepare)
 
 
-def _records_stirling2_q(shape: Shape, n_max: int) -> list[CheckRecord]:
-    d = shape.size
-    fam = b_polynomials(shape).values
-    out = []
-    for n in range(n_max + 1):
-        lhs = f1(shape, n)
-        rhs = QPolynomial()
-        for k in range(1, d + 1):
-            rhs = rhs + fam[k - 1] * q_binomial(n + 1, k)
-        out.append(CheckRecord(n, lhs, rhs, lhs == rhs))
-    return out
-
-
-def _records_lah(shape: Shape, n_max: int) -> list[CheckRecord]:
-    d = shape.size
-    mult = multinomial(shape.parts)
-    out = []
-    for n in range(n_max + 1):
-        lhs = mult * binomial(n + d, d)
-        rhs = sum(
-            lah_ordered(shape, k) * binomial(n + 1, k) for k in range(1, d + 1)
-        )
-        out.append(CheckRecord(n, lhs, rhs, lhs == rhs))
-    return out
-
-
-def _records_lah_q(shape: Shape, n_max: int) -> list[CheckRecord]:
-    d = shape.size
-    fam = c_polynomials(shape, method="enumeration").values
-    out = []
-    for n in range(n_max + 1):
-        lhs = f2(shape, n)
-        rhs = QPolynomial()
-        for k in range(1, d + 1):
-            rhs = rhs + fam[k - 1] * q_binomial(n + 1, k)
-        out.append(CheckRecord(n, lhs, rhs, lhs == rhs))
-    return out
-
-
-def _records_chain_q(shape: Shape, n_max: int) -> list[CheckRecord]:
+def _prepare_chain_q(shape: Shape) -> Level:
     # A chain's weight is a function of its block sizes alone, so the
     # per-chain sum is regrouped exactly: one weight per block-size tuple,
     # taken from a representative chain, times the number of chains with
@@ -234,14 +204,15 @@ def _records_chain_q(shape: Shape, n_max: int) -> list[CheckRecord]:
     for chain in iter_all_chains(shape):
         group = groups.setdefault(chain_block_sizes(chain), [chain, 0])
         group[1] += 1
-    out = []
-    for n in range(n_max + 1):
+
+    def level(n: int) -> CheckRecord:
         lhs = f1(shape, n)
         rhs = QPolynomial()
         for rep, count in groups.values():
             rhs = rhs + chain_weight_sum(rep, n) * count
-        out.append(CheckRecord(n, lhs, rhs, lhs == rhs))
-    return out
+        return CheckRecord(n, lhs, rhs, lhs == rhs)
+
+    return level
 
 
 def _decomposition_record(kind: str, shape: Shape, n: int) -> CheckRecord:
@@ -296,24 +267,47 @@ def check_decomposition(kind: str, shape: Shape, n: int) -> IdentityReport:
     )
 
 
-def _records_decomp_first(shape: Shape, n_max: int) -> list[CheckRecord]:
-    return [_decomposition_record("first", shape, n) for n in range(n_max + 1)]
-
-
-def _records_decomp_second(shape: Shape, n_max: int) -> list[CheckRecord]:
-    return [_decomposition_record("second", shape, n) for n in range(n_max + 1)]
-
-
+# The lambdas look names up in this module's globals when they run, not
+# when the table is built, so a wrapper installed on those globals (as the
+# benchmark's tracer installs on f1 and the row functions) sees every call.
 _CHECKERS = {
-    IdentityId.WORPITZKY: _records_worpitzky,
-    IdentityId.CARLITZ_Q: _records_carlitz_q,
-    IdentityId.STIRLING2: _records_stirling2,
-    IdentityId.STIRLING2_Q: _records_stirling2_q,
-    IdentityId.LAH: _records_lah,
-    IdentityId.LAH_Q: _records_lah_q,
-    IdentityId.CHAIN_Q_CORRECTED: _records_chain_q,
-    IdentityId.DECOMP_FIRST: _records_decomp_first,
-    IdentityId.DECOMP_SECOND: _records_decomp_second,
+    IdentityId.WORPITZKY: _expansion(
+        lambda s, n: point_count(s, n),
+        lambda s: eulerian_row_enum(s).values,
+        lambda d, n, k: binomial(n + d + 1 - k, d),
+    ),
+    IdentityId.CARLITZ_Q: _expansion(
+        lambda s, n: f1(s, n),
+        lambda s: a_polynomials(s).values,
+        lambda d, n, k: q_binomial(n + k, d),
+    ),
+    IdentityId.STIRLING2: _expansion(
+        lambda s, n: point_count(s, n),
+        lambda s: stirling2_row_enum(s).values,
+        lambda d, n, k: binomial(n + 1, k),
+    ),
+    IdentityId.STIRLING2_Q: _expansion(
+        lambda s, n: f1(s, n),
+        lambda s: b_polynomials(s).values,
+        lambda d, n, k: q_binomial(n + 1, k),
+    ),
+    IdentityId.LAH: _expansion(
+        lambda s, n: multinomial(s.parts) * binomial(n + s.size, s.size),
+        lambda s: lah_row(s).values,
+        lambda d, n, k: binomial(n + 1, k),
+    ),
+    IdentityId.LAH_Q: _expansion(
+        lambda s, n: f2(s, n),
+        lambda s: c_polynomials(s, method="enumeration").values,
+        lambda d, n, k: q_binomial(n + 1, k),
+    ),
+    IdentityId.CHAIN_Q_CORRECTED: _checker(_prepare_chain_q),
+    IdentityId.DECOMP_FIRST: _checker(
+        lambda s: partial(_decomposition_record, "first", s)
+    ),
+    IdentityId.DECOMP_SECOND: _checker(
+        lambda s: partial(_decomposition_record, "second", s)
+    ),
 }
 
 
@@ -327,9 +321,7 @@ def check_identity(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     records = _CHECKERS[identity](shape, n_max)
-    return IdentityReport(
-        identity, shape, identity not in EXPECTED_FAIL, tuple(records)
-    )
+    return IdentityReport(identity, shape, identity.expected, tuple(records))
 
 
 Job = tuple[IdentityId, Shape, int]
@@ -357,11 +349,7 @@ def suite_jobs(
     if l_max is not None and l_max < 1:
         raise ValueError("l_max must be at least 1")
     if identities is None:
-        selected = [
-            i
-            for i in IdentityId
-            if include_q or i not in Q_IDENTITIES
-        ]
+        selected = [i for i in IdentityId if include_q or not i.is_q]
     else:
         wanted = {IdentityId(i) for i in identities}
         selected = [i for i in IdentityId if i in wanted]
@@ -419,7 +407,9 @@ class SuiteRun:
             return
         # Leaving the block terminates the workers, so jobs still running
         # when the budget runs out are killed rather than waited for.
-        with multiprocessing.Pool(self.workers) as pool:
+        # the pool forks every worker up front; start no more than jobs
+        processes = min(self.workers, max(1, len(self.jobs)))
+        with multiprocessing.Pool(processes) as pool:
             results = pool.imap(_run_job, self.jobs)
             for _ in self.jobs:
                 try:

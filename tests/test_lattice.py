@@ -31,7 +31,6 @@ from multiset_eulerian.lattice import (
     region_point_count,
     validate_point,
 )
-from multiset_eulerian.numbers import dilation_count
 from multiset_eulerian.qpoly import QPolynomial, binomial, multinomial, q_binomial
 from oracles import (
     brute_classify_first,
@@ -59,7 +58,6 @@ class TestPoints:
             for n in range(4):
                 pts = list(iter_points(shape, n))
                 assert len(pts) == point_count(shape, n)
-                assert len(pts) == dilation_count(shape, n)
                 assert len(set(pts)) == len(pts)
 
     def test_matches_oracle_tuples(self):
@@ -256,7 +254,7 @@ class TestGeneratingFunctions:
     def test_f1_at_one(self):
         for shape in iter_shapes(5):
             for n in range(5):
-                assert f1(shape, n)(1) == dilation_count(shape, n)
+                assert f1(shape, n)(1) == point_count(shape, n)
 
     def test_f2_enumerated_at_one(self):
         for shape in iter_shapes(4):

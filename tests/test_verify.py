@@ -1,5 +1,7 @@
 import json
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,8 +10,6 @@ from multiset_eulerian.combinatorics import Shape, iter_shapes
 from multiset_eulerian.lattice import chain_weight_sum
 from multiset_eulerian.qpoly import QPolynomial
 from multiset_eulerian.verify import (
-    EXPECTED_FAIL,
-    Q_IDENTITIES,
     IdentityId,
     SuiteRun,
     check_decomposition,
@@ -18,6 +18,8 @@ from multiset_eulerian.verify import (
     suite_jobs,
 )
 from oracles import brute_chains
+
+SUITE_Q_REF = Path(__file__).resolve().parent.parent / "perfbench/ref/suite_q.jsonl"
 
 
 class TestRegistry:
@@ -35,8 +37,9 @@ class TestRegistry:
         ]
 
     def test_expected_fail_subset_of_q(self):
-        assert EXPECTED_FAIL == {IdentityId.STIRLING2_Q, IdentityId.LAH_Q}
-        assert EXPECTED_FAIL <= Q_IDENTITIES
+        expected_fail = {i for i in IdentityId if not i.expected}
+        assert expected_fail == {IdentityId.STIRLING2_Q, IdentityId.LAH_Q}
+        assert all(i.is_q for i in expected_fail)
 
 
 class TestKnownCounterexamples:
@@ -221,6 +224,35 @@ class TestSuite:
         assert [r.to_json_line() for r in serial.reports] == [
             r.to_json_line() for r in pooled.reports
         ]
+
+    def test_suite_q_reference_stream(self):
+        # every identity over every shape with d <= 5, pinned byte for byte
+        result = run_suite(d_max=5, n_max=6, include_q=True, workers=2)
+        stream = "".join(r.to_json_line() + "\n" for r in result.reports)
+        assert stream == SUITE_Q_REF.read_text()
+
+    def test_pool_starts_no_more_processes_than_jobs(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def imap(self, fn, jobs):
+                results = map(fn, jobs)
+                return SimpleNamespace(next=lambda timeout: next(results))
+
+        monkeypatch.setattr(verify.multiprocessing, "Pool", FakePool)
+        jobs = suite_jobs(shapes=[Shape((1,)), Shape((2,))], identities=["lah"])
+        reports = list(SuiteRun(jobs, workers=10**6))
+        assert started == [2]
+        assert [r.shape for r in reports] == [Shape((1,)), Shape((2,))]
 
     def test_zero_time_limit_truncates(self):
         result = run_suite(d_max=2, n_max=2, time_limit=0.0)
