@@ -67,23 +67,23 @@ def iter_permutations(shape: Shape) -> Iterator[Word]:
 
     The empty shape yields the single empty word.
     """
-    counts = list(shape.parts)
-    d = shape.size
-    word: list[int] = []
-
-    def rec() -> Iterator[Word]:
-        if len(word) == d:
-            yield tuple(word)
+    word = [j for j, p in enumerate(shape.parts, start=1) for _ in range(p)]
+    last = len(word) - 1
+    while True:
+        yield tuple(word)
+        # next word in lexicographic order: find the rightmost ascent,
+        # swap its left letter with the rightmost larger letter after it,
+        # and reverse the (weakly decreasing) tail
+        i = last - 1
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for j in range(len(counts)):
-            if counts[j]:
-                counts[j] -= 1
-                word.append(j + 1)
-                yield from rec()
-                word.pop()
-                counts[j] += 1
-
-    yield from rec()
+        j = last
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[:i:-1]
 
 
 def descent_set(word: Word) -> tuple[int, ...]:

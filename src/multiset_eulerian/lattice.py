@@ -13,13 +13,21 @@ Each point is classified in two ways:
   are half-open permutation regions; their sizes and q-weights have
   binomial closed forms.
 * second classification: the chain of cumulative letter contents of the
-  distinct coordinate values, read from the largest value down.  It
-  costs one sort per point: the (value, letter) pairs are swept in
-  descending order and a vertex is cut wherever the value drops.  The
+  distinct coordinate values, read from the largest value down: the
+  running content vector becomes a vertex wherever the value drops.  The
   fibers are chain regions.  Their exact q-weight is computed by
   :func:`chain_weight_sum`, which weights each value class by its block
   size; this is deliberately not assumed to have a Gaussian-binomial
   form, because it does not have one once a block size exceeds 1.
+
+:func:`classify_points` classifies every point of a dilation in one
+depth-first sweep over the letter factors.  A node at depth m carries the
+sorted (value, letter) pairs of the tuples chosen for the first m letters
+and their coordinate sum, so each factor tuple's pairs and sum are built
+once and a child only merges one tuple into its parent's sorted list.
+The leaves are the points: each is visited once and gets its own key.
+:func:`classify_first` and :func:`classify_second` are the one-point case
+of the same sweep.
 """
 
 from __future__ import annotations
@@ -27,31 +35,24 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
-from .combinatorics import (
-    Chain,
-    Shape,
-    Word,
-    chain_block_sizes,
-    descent_set,
-    iter_permutations,
-)
+from .combinatorics import Chain, Shape, Word, chain_block_sizes, descent_set
 from .qpoly import ONE, ZERO, QPolynomial, binomial, multinomial, q_binomial
 
 Point = tuple[tuple[int, ...], ...]
+# fiber key (word or chain) -> {coordinate sum: number of points}
+Fibers = dict[tuple, dict[int, int]]
 
 
 @lru_cache(maxsize=None)
 def _factor_points(dj: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Weakly decreasing dj-tuples with entries in 0..n, lex ascending."""
-    if dj == 0:
-        return ((),)
-    out = []
-    for first in range(n + 1):
-        for rest in _factor_points(dj - 1, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    # drawn from the descending pool n..0, the tuples come out weakly
+    # decreasing and lex descending in value; reversed, lex ascending
+    drawn = tuple(itertools.combinations_with_replacement(range(n, -1, -1), dj))
+    return drawn[::-1]
 
 
 def iter_points(shape: Shape, n: int) -> Iterator[Point]:
@@ -90,106 +91,110 @@ def validate_point(point: Point, shape: Shape, n: int) -> None:
             raise ValueError(f"factor {j} is not weakly decreasing: {xs}")
 
 
-def classify_first(point: Point) -> Word:
-    """Reading word of a point: coordinates sorted by value descending
-    with ties broken by letter.
+def _reading_word(pairs: list[tuple[int, int]], letters: int) -> Word:
+    """Reading word of a point's (-value, letter) pairs, sorted ascending.
+    `letters` is unused; it keeps the signature of :func:`_content_chain`.
 
     Equal values within one letter are interchangeable, so their order
     never changes the word.  The tie order makes the classification
     total and forces a strict value drop at every descent of the
     resulting word, which is the half-open region condition.
     """
-    keyed = []
-    for j, xs in enumerate(point, start=1):
-        for v in xs:
-            keyed.append((-v, j))
-    keyed.sort()
-    word = tuple([j for _, j in keyed])
+    word = tuple(map(itemgetter(1), pairs))
     for h in range(1, len(word)):
         if word[h - 1] > word[h]:
-            assert keyed[h - 1][0] < keyed[h][0]
+            assert pairs[h - 1][0] < pairs[h][0]
+    return word
+
+
+def _content_chain(pairs: list[tuple[int, int]], letters: int) -> Chain:
+    """Chain of a point's (-value, letter) pairs, sorted ascending, with
+    letters numbered from 0.
+
+    The top value class may sit at the dilation bound and the bottom one
+    at 0; only the gaps between classes are strict, so the number of
+    blocks k is simply the number of distinct coordinate values.
+    """
+    content = [0] * letters
+    chain = [tuple(content)]
+    if pairs:
+        current = pairs[0][0]
+        for minus_v, j in pairs:
+            if minus_v != current:
+                chain.append(tuple(content))
+                current = minus_v
+            content[j] += 1
+        chain.append(tuple(content))
+    return tuple(chain)
+
+
+def _sweep(
+    kind: str, factors: Sequence[Sequence[tuple[int, ...]]]
+) -> tuple[int, Fibers]:
+    """Classify every point of the product of `factors` (the coordinate
+    tuples of each letter in turn) by an explicit-stack depth-first walk.
+
+    Returns the number of points classified and their fibers.  The stack
+    holds at most one entry per tuple of each factor, never the points;
+    the last factor's tuples are merged in at the leaves.
+    """
+    first = kind == "first"
+    leaf = _reading_word if first else _content_chain
+    # each tuple's sorted pairs and coordinate sum, built once per letter;
+    # letters are numbered from 1 in a word, from 0 as content indices
+    levels = [
+        [(sorted([(-v, j) for v in xs]), sum(xs)) for xs in tuples]
+        for j, tuples in enumerate(factors, start=1 if first else 0)
+    ]
+    last = levels.pop() if levels else [([], 0)]
+    letters = len(factors)
+    fibers: Fibers = {}
+    total = 0
+    stack = [([], 0, 0)]
+    while stack:
+        pairs, s, depth = stack.pop()
+        if depth < len(levels):
+            for keyed, t in levels[depth]:
+                stack.append((sorted(pairs + keyed), s + t, depth + 1))
+            continue
+        for keyed, t in last:
+            merged = pairs + keyed
+            merged.sort()
+            key = leaf(merged, letters)
+            bucket = fibers.get(key)
+            if bucket is None:
+                bucket = fibers[key] = {}
+            weight = s + t
+            bucket[weight] = bucket.get(weight, 0) + 1
+            total += 1
+    return total, fibers
+
+
+def classify_points(kind: str, shape: Shape, n: int) -> tuple[int, Fibers]:
+    """Classify every lattice point of the n-fold dilation.
+
+    `kind` is "first" (fibers keyed by reading word) or "second" (keyed
+    by chain).  Returns the number of points classified and a dict from
+    each fiber key to its tally {coordinate sum: number of points}.
+    """
+    if kind not in ("first", "second"):
+        raise ValueError(f"unknown classification kind {kind!r}")
+    if n < 0:
+        raise ValueError("dilation level must be nonnegative")
+    return _sweep(kind, [_factor_points(p, n) for p in shape.parts])
+
+
+def classify_first(point: Point) -> Word:
+    """Reading word of a point: coordinates sorted by value descending
+    with ties broken by letter."""
+    (word,) = _sweep("first", [(xs,) for xs in point])[1]
     return word
 
 
 def classify_second(point: Point) -> Chain:
-    """Chain of cumulative letter contents of the distinct values.
-
-    The top value class may sit at the dilation bound and the bottom one
-    at 0; only the gaps between classes are strict, so the number of
-    blocks k is simply the number of distinct coordinate values.  One
-    descending sort of the (value, letter) pairs gives the chain: the
-    running content vector becomes a vertex wherever the value drops.
-    """
-    content = [0] * len(point)
-    chain = [tuple(content)]
-    pairs = [(v, j) for j, xs in enumerate(point) for v in xs]
-    if not pairs:
-        return tuple(chain)
-    pairs.sort(reverse=True)
-    current = pairs[0][0]
-    for v, j in pairs:
-        if v != current:
-            chain.append(tuple(content))
-            current = v
-        content[j] += 1
-    chain.append(tuple(content))
-    return tuple(chain)
-
-
-def _word_coordinate_order(word: Word) -> tuple[int, ...]:
-    """Flat coordinate indices visited in the word's reading order.
-
-    Entry h points at the coordinate holding the next occurrence of
-    letter word[h] in the flattened letter-major layout.
-    """
-    if not word:
-        return ()
-    letters = max(word)
-    counts = [0] * (letters + 1)
-    for letter in word:
-        counts[letter] += 1
-    offsets = [0] * (letters + 1)
-    for j in range(1, letters + 1):
-        offsets[j] = offsets[j - 1] + counts[j - 1]
-    seen = [0] * (letters + 1)
-    out = []
-    for letter in word:
-        out.append(offsets[letter] + seen[letter])
-        seen[letter] += 1
-    return tuple(out)
-
-
-def in_region(point: Point, word: Word, n: int) -> bool:
-    """Half-open region membership for the first classification.
-
-    Values must decrease weakly along the reading order, strictly at
-    the word's descents, and stay within 0..n.
-    """
-    flat = [v for xs in point for v in xs]
-    values = [flat[idx] for idx in _word_coordinate_order(word)]
-    if not values:
-        return True
-    if values[0] > n or values[-1] < 0:
-        return False
-    for h in range(1, len(values)):
-        if word[h - 1] > word[h]:
-            if values[h - 1] <= values[h]:
-                return False
-        elif values[h - 1] < values[h]:
-            return False
-    return True
-
-
-def in_closed_simplex(point: Point, word: Word, n: int) -> bool:
-    """Weak-chain membership in one closed permutation simplex."""
-    flat = [v for xs in point for v in xs]
-    prev = n
-    for idx in _word_coordinate_order(word):
-        v = flat[idx]
-        if v > prev:
-            return False
-        prev = v
-    return prev >= 0
+    """Chain of cumulative letter contents of the distinct values."""
+    (chain,) = _sweep("second", [(xs,) for xs in point])[1]
+    return chain
 
 
 def region_point_count(word: Word, n: int) -> int:
@@ -244,40 +249,6 @@ def f1(shape: Shape, n: int) -> QPolynomial:
     return out
 
 
-def f1_enumerated(shape: Shape, n: int) -> QPolynomial:
-    """Direct q-weight sum over the enumerated points (cross-check)."""
-    tally = [0] * (n * shape.size + 1)
-    for point in iter_points(shape, n):
-        tally[coordinate_sum(point)] += 1
-    return QPolynomial(tally)
-
-
 def f2(shape: Shape, n: int) -> QPolynomial:
     """Closed q-weight summed over all closed permutation simplices."""
     return q_binomial(n + shape.size, shape.size) * multinomial(shape.parts)
-
-
-def f2_enumerated(shape: Shape, n: int) -> QPolynomial:
-    """Membership cross-check for :func:`f2`.
-
-    Each point contributes its q-weight once for every word whose
-    closed simplex contains it, so overlaps on region boundaries are
-    counted with multiplicity.
-    """
-    orders = [
-        _word_coordinate_order(word) for word in iter_permutations(shape)
-    ]
-    tally = [0] * (n * shape.size + 1)
-    for point in iter_points(shape, n):
-        flat = [v for xs in point for v in xs]
-        s = sum(flat)
-        for order in orders:
-            prev = n
-            for idx in order:
-                v = flat[idx]
-                if v > prev:
-                    break
-                prev = v
-            else:
-                tally[s] += 1
-    return QPolynomial(tally)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,12 +42,9 @@ from .combinatorics import (
 from .lattice import (
     chain_region_count,
     chain_weight_sum,
-    classify_first,
-    classify_second,
-    coordinate_sum,
+    classify_points,
     f1,
     f2,
-    iter_points,
     point_count,
     region_gf,
     region_point_count,
@@ -218,18 +217,10 @@ def _prepare_chain_q(shape: Shape) -> Level:
 def _decomposition_record(kind: str, shape: Shape, n: int) -> CheckRecord:
     """Classify every lattice point and compare each fiber with its
     closed count and closed q-weight."""
-    weights: dict = {}
-    total = 0
-    second = kind == "second"
-    for point in iter_points(shape, n):
-        key = classify_second(point) if second else classify_first(point)
-        bucket = weights.setdefault(key, {})
-        s = coordinate_sum(point)
-        bucket[s] = bucket.get(s, 0) + 1
-        total += 1
+    total, weights = classify_points(kind, shape, n)
     expected_total = point_count(shape, n)
     ok = total == expected_total
-    if second:
+    if kind == "second":
         # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
         # points and weight zero.  Those chains are not visited; a point
         # classified into one stays in `weights` and fails the record below.
@@ -367,11 +358,42 @@ def _run_job(job: Job) -> IdentityReport:
     return check_identity(identity, shape, n_max)
 
 
+class _OutOfTime(Exception):
+    """Raised by the interval timer into a serial job that overran."""
+
+
+def _run_job_within(job: Job, seconds: float) -> IdentityReport:
+    """Run one job, raising _OutOfTime if it is still running after
+    `seconds`.  Main thread only: that is where Python runs signal
+    handlers."""
+    armed = True
+
+    def on_alarm(signum, frame):
+        # a signal that arrives as the job ends is ignored once disarmed,
+        # so restoring the previous handler below cannot be interrupted
+        if armed:
+            raise _OutOfTime
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        return _run_job(job)
+    finally:
+        armed = False
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class SuiteRun:
     """Iterate suite reports in job order, optionally on a process pool.
 
     After iteration finishes, `truncated` records whether a wall-clock
-    budget cut the run short.
+    budget cut the run short.  A job still running when the budget runs
+    out is stopped, not waited for: pool workers are terminated, and a
+    serial job is interrupted by an interval timer.  The timer needs the
+    main thread (and a platform with `signal.setitimer`); a serial run
+    iterated on any other thread checks the budget between jobs only, so
+    it can overshoot by one job.
     """
 
     def __init__(
@@ -399,11 +421,24 @@ class SuiteRun:
     def __iter__(self) -> Iterator[IdentityReport]:
         start = time.monotonic()
         if self.workers == 1:
+            timed = (
+                self.time_limit is not None
+                and hasattr(signal, "setitimer")
+                and threading.current_thread() is threading.main_thread()
+            )
             for job in self.jobs:
-                if self._remaining(start) == 0:
+                remaining = self._remaining(start)
+                if remaining == 0:
                     self.truncated = True
                     return
-                yield _run_job(job)
+                try:
+                    report = (
+                        _run_job_within(job, remaining) if timed else _run_job(job)
+                    )
+                except _OutOfTime:
+                    self.truncated = True
+                    return
+                yield report
             return
         # Leaving the block terminates the workers, so jobs still running
         # when the budget runs out are killed rather than waited for.

@@ -4,12 +4,20 @@ Everything here recomputes expected values from first principles with
 logic that shares no code with the package implementations: permutations
 come from deduplicated itertools permutations, chains from filtered
 vertex sequences, partition counts from a direct recursive enumeration.
+
+The region-membership tests and the enumerated generating functions at
+the end are cross-checks of the package's closed forms: they walk the
+package's own point and word enumerators and test each point directly.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+
+from multiset_eulerian.combinatorics import Shape, Word, iter_permutations
+from multiset_eulerian.lattice import Point, coordinate_sum, iter_points
+from multiset_eulerian.qpoly import QPolynomial
 
 # Classical Eulerian triangle rows, indexed by d (A008292).
 EULERIAN_CLASSICAL = {
@@ -132,3 +140,93 @@ def brute_classify_second(
     return (origin,) + tuple(
         tuple(sum(1 for v in xs if v >= val) for xs in point) for val in values
     )
+
+
+def _word_coordinate_order(word: Word) -> tuple[int, ...]:
+    """Flat coordinate indices visited in the word's reading order.
+
+    Entry h points at the coordinate holding the next occurrence of
+    letter word[h] in the flattened letter-major layout.
+    """
+    if not word:
+        return ()
+    letters = max(word)
+    counts = [0] * (letters + 1)
+    for letter in word:
+        counts[letter] += 1
+    offsets = [0] * (letters + 1)
+    for j in range(1, letters + 1):
+        offsets[j] = offsets[j - 1] + counts[j - 1]
+    seen = [0] * (letters + 1)
+    out = []
+    for letter in word:
+        out.append(offsets[letter] + seen[letter])
+        seen[letter] += 1
+    return tuple(out)
+
+
+def in_region(point: Point, word: Word, n: int) -> bool:
+    """Half-open region membership for the first classification.
+
+    Values must decrease weakly along the reading order, strictly at
+    the word's descents, and stay within 0..n.
+    """
+    flat = [v for xs in point for v in xs]
+    values = [flat[idx] for idx in _word_coordinate_order(word)]
+    if not values:
+        return True
+    if values[0] > n or values[-1] < 0:
+        return False
+    for h in range(1, len(values)):
+        if word[h - 1] > word[h]:
+            if values[h - 1] <= values[h]:
+                return False
+        elif values[h - 1] < values[h]:
+            return False
+    return True
+
+
+def in_closed_simplex(point: Point, word: Word, n: int) -> bool:
+    """Weak-chain membership in one closed permutation simplex."""
+    flat = [v for xs in point for v in xs]
+    prev = n
+    for idx in _word_coordinate_order(word):
+        v = flat[idx]
+        if v > prev:
+            return False
+        prev = v
+    return prev >= 0
+
+
+def f1_enumerated(shape: Shape, n: int) -> QPolynomial:
+    """Direct q-weight sum over the enumerated points (cross-check)."""
+    tally = [0] * (n * shape.size + 1)
+    for point in iter_points(shape, n):
+        tally[coordinate_sum(point)] += 1
+    return QPolynomial(tally)
+
+
+def f2_enumerated(shape: Shape, n: int) -> QPolynomial:
+    """Membership cross-check for the package's closed ``f2``.
+
+    Each point contributes its q-weight once for every word whose
+    closed simplex contains it, so overlaps on region boundaries are
+    counted with multiplicity.
+    """
+    orders = [
+        _word_coordinate_order(word) for word in iter_permutations(shape)
+    ]
+    tally = [0] * (n * shape.size + 1)
+    for point in iter_points(shape, n):
+        flat = [v for xs in point for v in xs]
+        s = sum(flat)
+        for order in orders:
+            prev = n
+            for idx in order:
+                v = flat[idx]
+                if v > prev:
+                    break
+                prev = v
+            else:
+                tally[s] += 1
+    return QPolynomial(tally)

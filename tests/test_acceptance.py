@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 from multiset_eulerian.combinatorics import Shape, iter_all_chains, iter_shapes
-from multiset_eulerian.lattice import f1, f2, f2_enumerated, chain_weight_sum
+from multiset_eulerian.lattice import f1, f2, chain_weight_sum
 from multiset_eulerian.numbers import (
     a_polynomials,
     b_polynomials,
@@ -24,7 +24,7 @@ from multiset_eulerian.numbers import (
     stirling2_row_enum,
 )
 from multiset_eulerian.verify import check_decomposition, check_identity
-from oracles import stirling_second
+from oracles import f2_enumerated, stirling_second
 
 
 def _report(num: int, name: str, ok: bool) -> None:

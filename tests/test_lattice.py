@@ -17,14 +17,11 @@ from multiset_eulerian.lattice import (
     chain_region_count,
     chain_weight_sum,
     classify_first,
+    classify_points,
     classify_second,
     coordinate_sum,
     f1,
-    f1_enumerated,
     f2,
-    f2_enumerated,
-    in_closed_simplex,
-    in_region,
     iter_points,
     point_count,
     region_gf,
@@ -35,6 +32,10 @@ from multiset_eulerian.qpoly import QPolynomial, binomial, multinomial, q_binomi
 from oracles import (
     brute_classify_first,
     brute_classify_second,
+    f1_enumerated,
+    f2_enumerated,
+    in_closed_simplex,
+    in_region,
     weakly_decreasing_tuples,
 )
 
@@ -165,6 +166,30 @@ class TestClassifierOracles:
     def test_empty_point(self):
         assert classify_first(()) == brute_classify_first(()) == ()
         assert classify_second(()) == brute_classify_second(()) == ((),)
+
+
+class TestSweep:
+    def test_matches_point_by_point_oracles(self):
+        # total and fibers equal those built from every enumerated point,
+        # its brute-force key and a plain coordinate sum
+        oracles = {"first": brute_classify_first, "second": brute_classify_second}
+        for shape in iter_shapes(5):
+            for n in range(4):
+                for kind, oracle in oracles.items():
+                    total = 0
+                    fibers = {}
+                    for point in iter_points(shape, n):
+                        bucket = fibers.setdefault(oracle(point), {})
+                        s = sum(v for xs in point for v in xs)
+                        bucket[s] = bucket.get(s, 0) + 1
+                        total += 1
+                    assert classify_points(kind, shape, n) == (total, fibers)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            classify_points("third", Shape((1,)), 1)
+        with pytest.raises(ValueError):
+            classify_points("first", Shape((1,)), -1)
 
 
 class TestRegionWeights:

@@ -75,6 +75,21 @@ class TestKnownCounterexamples:
                 assert check_identity(identity, shape, 6).passed
 
 
+def _also_classify_origin_into(monkeypatch, key):
+    """Make the oracle's sweep also put the origin (coordinate sum 0)
+    into the fiber `key`, leaving its total and the fibers it found as
+    they are.  A key the oracle never visits is then caught only by the
+    leftover-fiber check."""
+    sweep = verify.classify_points
+
+    def classify(kind, shape, n):
+        total, fibers = sweep(kind, shape, n)
+        fibers[key] = {0: 1}
+        return total, fibers
+
+    monkeypatch.setattr(verify, "classify_points", classify)
+
+
 class TestPassingIdentities:
     def test_worpitzky(self):
         for shape in iter_shapes(4):
@@ -113,15 +128,21 @@ class TestPassingIdentities:
     def test_point_in_empty_chain_fiber_fails(self, monkeypatch):
         # at n = 0 a two-block chain has C(1, 2) = 0 points, so the oracle
         # never visits it; a point classified into it must still fail
-        monkeypatch.setattr(
-            verify, "classify_second", lambda point: ((0, 0), (1, 0), (1, 1))
-        )
+        _also_classify_origin_into(monkeypatch, ((0, 0), (1, 0), (1, 1)))
         assert not check_decomposition("second", Shape((1, 1)), 0).passed
 
     def test_point_in_wrong_region_fails(self, monkeypatch):
-        # the only point at n = 0 reads 12; the region of 21 is empty there
-        monkeypatch.setattr(verify, "classify_first", lambda point: (2, 1))
-        assert not check_decomposition("first", Shape((1, 1)), 0).passed
+        # the only point at n = 0 reads 12; the region of 21 is empty there,
+        # and 11 is no word of the shape, so enumeration never visits it
+        for word in ((2, 1), (1, 1)):
+            with monkeypatch.context() as patch:
+                _also_classify_origin_into(patch, word)
+                assert not check_decomposition("first", Shape((1, 1)), 0).passed
+
+    def test_shape_with_many_copies_of_one_letter(self):
+        # 1200 copies of one letter, deeper than the recursion limit
+        for identity in ("worpitzky", "decomp_first", "decomp_second"):
+            assert check_identity(identity, Shape((1200,)), 0).passed
 
     def test_decomposition_kind_validation(self):
         with pytest.raises(ValueError):
@@ -275,6 +296,19 @@ class TestSuite:
         assert time.monotonic() - start < 5
         assert result.truncated
         assert result.reports == []
+
+    def test_serial_run_does_not_wait_for_running_job(self):
+        # the same job as above, run serially: the interval timer stops it
+        start = time.monotonic()
+        run = SuiteRun(
+            [(IdentityId.DECOMP_SECOND, Shape((1,) * 8), 6)],
+            workers=1,
+            time_limit=0.2,
+        )
+        reports = list(run)
+        assert time.monotonic() - start < 5
+        assert run.truncated
+        assert reports == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
