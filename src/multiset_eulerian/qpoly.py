@@ -215,9 +215,19 @@ def q_binomial(n: int, k: int) -> QPolynomial:
     weakly decreasing k-tuples bounded by n - k, graded by entry sum, so
     its coefficients are nonnegative and palindromic, and evaluating at
     q = 1 gives C(n, k).
+
+    The recurrence runs as a loop, not a recursion, so n is not bounded
+    by the recursion limit; with the symmetry [n, k] = [n, n-k] it takes
+    k * (n - k) polynomial additions for k <= n - k.
     """
     if k < 0 or n < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)
+    k = min(k, n - k)
+    # row[i] = [i + j, j] for i = 0..n-k, starting from j = 0 (all ones);
+    # each step j reads [i+j, j] = [i+j-1, j-1] + q**j * [i+j-1, j], that
+    # is row[i] (still at j - 1) plus q**j times row[i - 1] (already at j)
+    row = [ONE] * (n - k + 1)
+    for j in range(1, k + 1):
+        for i in range(1, n - k + 1):
+            row[i] = row[i] + row[i - 1].shift(j)
+    return row[-1]

@@ -14,15 +14,24 @@ entry says what to compute.  The six expansion identities share the form
 lhs(n) = sum over k of row[k] * basis_k(n), so their entries name only the
 lhs, the row and the basis.  Every checker runs through one n-loop.
 
+The two decomposition oracles build one fiber table per job: the words
+or chains are enumerated once and grouped into classes whose members
+share their closed count and closed q-weight.  Each level still
+classifies every lattice point and compares every word's or chain's
+fiber, against values computed once per class.
+
 Suite runs are deterministic: jobs are ordered by (identity, shape) and
 worker pools preserve that order, so the rendered report stream is
-byte-identical for any worker count.
+byte-identical for any worker count.  A serial run never imports
+`multiprocessing`; with a time limit it stops a job in progress by an
+interval timer that fires again until the job has ended, so a signal
+that lands in a finalizer, where its exception is only reported as
+ignored, does not let the job run on.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import signal
 import threading
 import time
@@ -34,6 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .combinatorics import (
     Shape,
     chain_block_sizes,
+    descent_set,
     iter_all_chains,
     iter_chains,
     iter_permutations,
@@ -214,36 +224,66 @@ def _prepare_chain_q(shape: Shape) -> Level:
     return level
 
 
-def _decomposition_record(kind: str, shape: Shape, n: int) -> CheckRecord:
-    """Classify every lattice point and compare each fiber with its
-    closed count and closed q-weight."""
-    total, weights = classify_points(kind, shape, n)
-    expected_total = point_count(shape, n)
-    ok = total == expected_total
-    if kind == "second":
-        # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
-        # points and weight zero.  Those chains are not visited; a point
-        # classified into one stays in `weights` and fails the record below.
-        for k in range(1, min(shape.size, n + 1) + 1):
-            for chain in iter_chains(shape, k):
-                bucket = weights.pop(chain, {})
-                if sum(bucket.values()) != chain_region_count(k, n):
-                    ok = False
-                got = QPolynomial.from_exponent_counts(bucket)
-                if got != chain_weight_sum(chain, n):
-                    ok = False
-    else:
+def _prepare_decomposition(kind: str, shape: Shape) -> Level:
+    """Fiber table of one decomposition job, and its level function.
+
+    The words (first kind) or chains (second kind) are enumerated once
+    per job and grouped into classes that share their closed values:
+    words by (descent count, major index), on which `region_point_count`
+    and `region_gf` depend, and chains by block sizes, on which
+    `chain_weight_sum` depends.  Each level classifies every lattice
+    point, takes the closed count and q-weight once per class, and
+    compares every member's fiber with them.
+    """
+    if kind == "first":
+        words: dict[tuple[int, int], list] = {}
         for word in iter_permutations(shape):
-            bucket = weights.pop(word, {})
-            if sum(bucket.values()) != region_point_count(word, n):
-                ok = False
-            got = QPolynomial.from_exponent_counts(bucket)
-            if got != region_gf(word, n):
-                ok = False
-    if weights:
-        # a point was classified into a fiber that enumeration never produced
-        ok = False
-    return CheckRecord(n, expected_total, total, ok)
+            ds = descent_set(word)
+            words.setdefault((len(ds), sum(ds)), []).append(word)
+
+        def classes(n: int):
+            for members in words.values():
+                rep = members[0]
+                yield members, region_point_count(rep, n), region_gf(rep, n)
+
+    else:
+        # by_k[k] lists the classes of k-block chains, enumerated when a
+        # level first needs them
+        by_k: list[list[list]] = [[]]
+
+        def classes(n: int):
+            # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
+            # points and weight zero.  Those chains are not visited; a point
+            # classified into one stays in `fibers` and fails the record.
+            for k in range(1, min(shape.size, n + 1) + 1):
+                if k == len(by_k):
+                    groups: dict[tuple[int, ...], list] = {}
+                    for chain in iter_chains(shape, k):
+                        sizes = chain_block_sizes(chain)
+                        groups.setdefault(sizes, []).append(chain)
+                    by_k.append(list(groups.values()))
+                for members in by_k[k]:
+                    weight = chain_weight_sum(members[0], n)
+                    yield members, chain_region_count(k, n), weight
+
+    def level(n: int) -> CheckRecord:
+        total, fibers = classify_points(kind, shape, n)
+        expected_total = point_count(shape, n)
+        ok = total == expected_total
+        for members, count, weight in classes(n):
+            # a fiber's tally holds only positive counts, so it equals the
+            # closed q-weight exactly when it equals its nonzero coefficients
+            closed = {e: c for e, c in enumerate(weight.coeffs) if c}
+            for key in members:
+                tally = fibers.pop(key, {})
+                if sum(tally.values()) != count or tally != closed:
+                    ok = False
+        if fibers:
+            # a point was classified into a fiber that enumeration never produced
+            ok = False
+        return CheckRecord(n, expected_total, total, ok)
+
+    return level
 
 
 def check_decomposition(kind: str, shape: Shape, n: int) -> IdentityReport:
@@ -253,9 +293,8 @@ def check_decomposition(kind: str, shape: Shape, n: int) -> IdentityReport:
     identity = (
         IdentityId.DECOMP_FIRST if kind == "first" else IdentityId.DECOMP_SECOND
     )
-    return IdentityReport(
-        identity, shape, True, (_decomposition_record(kind, shape, n),)
-    )
+    record = _prepare_decomposition(kind, shape)(n)
+    return IdentityReport(identity, shape, True, (record,))
 
 
 # The lambdas look names up in this module's globals when they run, not
@@ -293,12 +332,8 @@ _CHECKERS = {
         lambda d, n, k: q_binomial(n + 1, k),
     ),
     IdentityId.CHAIN_Q_CORRECTED: _checker(_prepare_chain_q),
-    IdentityId.DECOMP_FIRST: _checker(
-        lambda s: partial(_decomposition_record, "first", s)
-    ),
-    IdentityId.DECOMP_SECOND: _checker(
-        lambda s: partial(_decomposition_record, "second", s)
-    ),
+    IdentityId.DECOMP_FIRST: _checker(partial(_prepare_decomposition, "first")),
+    IdentityId.DECOMP_SECOND: _checker(partial(_prepare_decomposition, "second")),
 }
 
 
@@ -362,6 +397,13 @@ class _OutOfTime(Exception):
     """Raised by the interval timer into a serial job that overran."""
 
 
+# Seconds between repeated timer signals once a serial job's budget is
+# spent.  The handler raises wherever the interpreter is; inside a
+# finalizer the exception is only printed as ignored, so the timer fires
+# again until the raise reaches the job.
+_REFIRE_S = 0.05
+
+
 def _run_job_within(job: Job, seconds: float) -> IdentityReport:
     """Run one job, raising _OutOfTime if it is still running after
     `seconds`.  Main thread only: that is where Python runs signal
@@ -376,7 +418,7 @@ def _run_job_within(job: Job, seconds: float) -> IdentityReport:
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
     try:
-        signal.setitimer(signal.ITIMER_REAL, seconds)
+        signal.setitimer(signal.ITIMER_REAL, seconds, _REFIRE_S)
         return _run_job(job)
     finally:
         armed = False
@@ -440,6 +482,9 @@ class SuiteRun:
                     return
                 yield report
             return
+        # imported here, so a serial run does not pay for loading it
+        import multiprocessing
+
         # Leaving the block terminates the workers, so jobs still running
         # when the budget runs out are killed rather than waited for.
         # the pool forks every worker up front; start no more than jobs

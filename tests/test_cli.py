@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multiset_eulerian
 from multiset_eulerian.cli import _default_workers, main
 
 
@@ -274,6 +279,39 @@ class TestVerify:
         )
         assert code1 == code2 == 0
         assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize(
+        "shape, identity", [("2000", "carlitz_q"), ("1200", "decomp_first")]
+    )
+    def test_shape_deeper_than_recursion_limit(self, capsys, shape, identity):
+        # both need q_binomial(n + d, d) with d above the recursion limit
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--shape", shape, "--nmax", "1", "--identity", identity,
+        )
+        assert code == 0
+        (line,) = out.splitlines()
+        assert json.loads(line)["status"] == "pass"
+
+    def test_serial_run_does_not_import_multiprocessing(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from multiset_eulerian import cli\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "code = cli.main(['verify', '--dmax', '2', '--nmax', '2', '--q',\n"
+            "                 '--workers', '1', '--output', sys.argv[1]])\n"
+            "print(code, 'multiprocessing' in sys.modules)\n"
+        )
+        src = Path(multiset_eulerian.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out.jsonl")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.stdout == "False\n0 False\n", done.stderr
 
     def test_time_limit_truncates(self, capsys):
         code, out, _ = run_cli(

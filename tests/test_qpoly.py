@@ -1,4 +1,6 @@
 import math
+import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -70,6 +72,25 @@ class TestQBinomial:
                 cs = q_binomial(n, k).coeffs
                 assert all(c >= 0 for c in cs)
                 assert cs == cs[::-1]
+
+    def test_matches_recursive_reference(self):
+        @lru_cache(maxsize=None)
+        def reference(n, k):
+            # the Pascal recurrence, read top down
+            if k < 0 or n < 0 or k > n:
+                return ZERO
+            if k == 0 or k == n:
+                return ONE
+            return reference(n - 1, k - 1) + reference(n - 1, k).shift(k)
+
+        for n in range(31):
+            for k in range(-1, n + 2):
+                assert q_binomial(n, k) == reference(n, k)
+
+    def test_beyond_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 100
+        assert q_binomial(n, 1).coeffs == (1,) * n
+        assert q_binomial(n, n - 1) == q_binomial(n, 1)
 
     def test_symmetry_in_k(self):
         for n in range(12):

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -6,7 +8,12 @@ from types import SimpleNamespace
 import pytest
 
 from multiset_eulerian import verify
-from multiset_eulerian.combinatorics import Shape, iter_shapes
+from multiset_eulerian.combinatorics import (
+    Shape,
+    chain_block_sizes,
+    descent_set,
+    iter_shapes,
+)
 from multiset_eulerian.lattice import chain_weight_sum
 from multiset_eulerian.qpoly import QPolynomial
 from multiset_eulerian.verify import (
@@ -90,6 +97,25 @@ def _also_classify_origin_into(monkeypatch, key):
     monkeypatch.setattr(verify, "classify_points", classify)
 
 
+def _move_one_point_up(monkeypatch, key):
+    """Make the oracle's sweep move one point of the fiber `key` from the
+    fiber's largest coordinate sum to the next one up.  The fiber keeps
+    its count, so only the q-weight comparison can catch the move."""
+    sweep = verify.classify_points
+
+    def classify(kind, shape, n):
+        total, fibers = sweep(kind, shape, n)
+        tally = fibers[key]
+        top = max(tally)
+        tally[top] -= 1
+        if not tally[top]:
+            del tally[top]
+        tally[top + 1] = tally.get(top + 1, 0) + 1
+        return total, fibers
+
+    monkeypatch.setattr(verify, "classify_points", classify)
+
+
 class TestPassingIdentities:
     def test_worpitzky(self):
         for shape in iter_shapes(4):
@@ -138,6 +164,27 @@ class TestPassingIdentities:
             with monkeypatch.context() as patch:
                 _also_classify_origin_into(patch, word)
                 assert not check_decomposition("first", Shape((1, 1)), 0).passed
+
+    def test_moved_point_in_a_shared_word_class_fails(self, monkeypatch):
+        # 132 and 231 share (des, maj) = (1, 2), so they share one closed
+        # value per level; each member's fiber must still be compared
+        members = ((1, 3, 2), (2, 3, 1))
+        assert len({descent_set(w) for w in members}) == 1
+        for word in members:
+            with monkeypatch.context() as patch:
+                _move_one_point_up(patch, word)
+                report = check_decomposition("first", Shape((1, 1, 1)), 1)
+                assert not report.passed
+
+    def test_moved_point_in_a_shared_chain_class_fails(self, monkeypatch):
+        # the two 2-block chains of shape 1,1 both have block sizes (1, 1)
+        members = (((0, 0), (1, 0), (1, 1)), ((0, 0), (0, 1), (1, 1)))
+        assert len({chain_block_sizes(c) for c in members}) == 1
+        for chain in members:
+            with monkeypatch.context() as patch:
+                _move_one_point_up(patch, chain)
+                report = check_decomposition("second", Shape((1, 1)), 1)
+                assert not report.passed
 
     def test_shape_with_many_copies_of_one_letter(self):
         # 1200 copies of one letter, deeper than the recursion limit
@@ -269,7 +316,7 @@ class TestSuite:
                 results = map(fn, jobs)
                 return SimpleNamespace(next=lambda timeout: next(results))
 
-        monkeypatch.setattr(verify.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         jobs = suite_jobs(shapes=[Shape((1,)), Shape((2,))], identities=["lah"])
         reports = list(SuiteRun(jobs, workers=10**6))
         assert started == [2]
@@ -307,6 +354,38 @@ class TestSuite:
         )
         reports = list(run)
         assert time.monotonic() - start < 5
+        assert run.truncated
+        assert reports == []
+
+    def test_serial_timer_fires_again_after_a_finalizer(self, monkeypatch):
+        # The timer's first signal lands in a finalizer, where the raised
+        # _OutOfTime is only reported as ignored.  The job that follows
+        # must still be stopped, by a later signal of the same timer.
+        class SlowFinalizer:
+            def __del__(self):
+                time.sleep(0.5)
+
+        def checker(shape, n_max):
+            SlowFinalizer()  # finalised at once, sleeping past the budget
+            end = time.monotonic() + 3
+            while time.monotonic() < end:
+                pass
+            return []
+
+        monkeypatch.setitem(verify._CHECKERS, IdentityId.LAH, checker)
+        ignored = []
+        hook = sys.unraisablehook
+        sys.unraisablehook = lambda unraisable: ignored.append(unraisable.exc_type)
+        try:
+            start = time.monotonic()
+            job = (IdentityId.LAH, Shape((1,)), 0)
+            run = SuiteRun([job], workers=1, time_limit=0.2)
+            reports = list(run)
+            elapsed = time.monotonic() - start
+        finally:
+            sys.unraisablehook = hook
+        assert ignored == [verify._OutOfTime]
+        assert elapsed < 2
         assert run.truncated
         assert reports == []
 
