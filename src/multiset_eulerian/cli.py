@@ -71,11 +71,15 @@ def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]
 
 
 def _default_workers() -> int:
+    """Worker count from the environment, 1 when unset; anything but a
+    positive integer is a usage error."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        return 1
+        pass
+    raise UsageError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated identity names (default: all registered)",
     )
     verify.add_argument("--shape", help="restrict the run to one shape")
-    verify.add_argument("--workers", type=int, default=_default_workers())
+    verify.add_argument("--workers", type=int)
     verify.add_argument(
         "--time-limit",
         type=float,
@@ -227,7 +231,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shapes = [shape]
     if shapes is None and args.dmax is None:
         raise UsageError("need --dmax or --shape")
-    if args.workers < 1:
+    workers = _default_workers() if args.workers is None else args.workers
+    if workers < 1:
         raise UsageError("--workers must be at least 1")
     try:
         jobs = suite_jobs(
@@ -238,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             identities=identities,
             shapes=shapes,
         )
-        run = SuiteRun(jobs, workers=args.workers, time_limit=args.time_limit)
+        run = SuiteRun(jobs, workers=workers, time_limit=args.time_limit)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

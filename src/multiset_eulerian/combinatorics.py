@@ -196,24 +196,6 @@ def word_prefix_contents(word: Word) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def iter_chains_of_word(word: Word, k: int) -> Iterator[Chain]:
-    """Chains obtained by cutting the word into k contiguous segments.
-
-    Cut positions run over the (k-1)-subsets of 1..d-1 in lexicographic
-    order; the vertices are the letter contents of the cut prefixes.
-    Every yielded chain is also produced by :func:`iter_chains` for the
-    word's shape.
-    """
-    d = len(word)
-    if k < 1 or k > d:
-        return
-    prefixes = word_prefix_contents(word)
-    origin = (0,) * len(prefixes[-1])
-    full = prefixes[-1]
-    for cuts in itertools.combinations(range(1, d), k - 1):
-        yield (origin,) + tuple(prefixes[c - 1] for c in cuts) + (full,)
-
-
 def format_word(word: Word) -> str:
     """Digit string when every letter fits one digit, else comma-separated."""
     if word and max(word) > 9:

@@ -62,10 +62,6 @@ class QPolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c: int) -> "QPolynomial":
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, c: int, power: int) -> "QPolynomial":
         """The polynomial c * q**power."""
         if power < 0:
@@ -88,9 +84,6 @@ class QPolynomial:
     def degree(self) -> int:
         """Degree in q; the zero polynomial reports -1."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -22,18 +22,15 @@ fiber, against values computed once per class.
 
 Suite runs are deterministic: jobs are ordered by (identity, shape) and
 worker pools preserve that order, so the rendered report stream is
-byte-identical for any worker count.  A serial run never imports
-`multiprocessing`; with a time limit it stops a job in progress by an
-interval timer that fires again until the job has ended, so a signal
-that lands in a finalizer, where its exception is only reported as
-ignored, does not let the job run on.
+byte-identical for any worker count.  Only an untimed run with one
+worker stays in-process, and it never imports `multiprocessing`.  Every
+other run goes through a process pool, whose termination is the one way
+a job still running at the deadline is stopped.
 """
 
 from __future__ import annotations
 
 import json
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -393,49 +390,14 @@ def _run_job(job: Job) -> IdentityReport:
     return check_identity(identity, shape, n_max)
 
 
-class _OutOfTime(Exception):
-    """Raised by the interval timer into a serial job that overran."""
-
-
-# Seconds between repeated timer signals once a serial job's budget is
-# spent.  The handler raises wherever the interpreter is; inside a
-# finalizer the exception is only printed as ignored, so the timer fires
-# again until the raise reaches the job.
-_REFIRE_S = 0.05
-
-
-def _run_job_within(job: Job, seconds: float) -> IdentityReport:
-    """Run one job, raising _OutOfTime if it is still running after
-    `seconds`.  Main thread only: that is where Python runs signal
-    handlers."""
-    armed = True
-
-    def on_alarm(signum, frame):
-        # a signal that arrives as the job ends is ignored once disarmed,
-        # so restoring the previous handler below cannot be interrupted
-        if armed:
-            raise _OutOfTime
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    try:
-        signal.setitimer(signal.ITIMER_REAL, seconds, _REFIRE_S)
-        return _run_job(job)
-    finally:
-        armed = False
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class SuiteRun:
     """Iterate suite reports in job order, optionally on a process pool.
 
     After iteration finishes, `truncated` records whether a wall-clock
-    budget cut the run short.  A job still running when the budget runs
-    out is stopped, not waited for: pool workers are terminated, and a
-    serial job is interrupted by an interval timer.  The timer needs the
-    main thread (and a platform with `signal.setitimer`); a serial run
-    iterated on any other thread checks the budget between jobs only, so
-    it can overshoot by one job.
+    budget cut the run short.  Only an untimed run with one worker stays
+    in-process; a timed run, serial or not, goes through the pool, so a
+    job still running when the budget runs out is stopped by terminating
+    its worker, on any thread.
     """
 
     def __init__(
@@ -462,34 +424,23 @@ class SuiteRun:
 
     def __iter__(self) -> Iterator[IdentityReport]:
         start = time.monotonic()
-        if self.workers == 1:
-            timed = (
-                self.time_limit is not None
-                and hasattr(signal, "setitimer")
-                and threading.current_thread() is threading.main_thread()
-            )
+        if self.workers == 1 and self.time_limit is None:
             for job in self.jobs:
-                remaining = self._remaining(start)
-                if remaining == 0:
-                    self.truncated = True
-                    return
-                try:
-                    report = (
-                        _run_job_within(job, remaining) if timed else _run_job(job)
-                    )
-                except _OutOfTime:
-                    self.truncated = True
-                    return
-                yield report
+                yield _run_job(job)
             return
-        # imported here, so a serial run does not pay for loading it
+        if not self.jobs:
+            return
+        if self._remaining(start) == 0:
+            # a spent budget truncates before the pool is even imported
+            self.truncated = True
+            return
+        # imported here, so an in-process run does not pay for loading it
         import multiprocessing
 
         # Leaving the block terminates the workers, so jobs still running
         # when the budget runs out are killed rather than waited for.
         # the pool forks every worker up front; start no more than jobs
-        processes = min(self.workers, max(1, len(self.jobs)))
-        with multiprocessing.Pool(processes) as pool:
+        with multiprocessing.Pool(min(self.workers, len(self.jobs))) as pool:
             results = pool.imap(_run_job, self.jobs)
             for _ in self.jobs:
                 try:

@@ -8,14 +8,23 @@ vertex sequences, partition counts from a direct recursive enumeration.
 The region-membership tests and the enumerated generating functions at
 the end are cross-checks of the package's closed forms: they walk the
 package's own point and word enumerators and test each point directly.
+Cutting a word into segments, last, is checked against the package's
+chain enumerator and Lah row.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Iterator
 
-from multiset_eulerian.combinatorics import Shape, Word, iter_permutations
+from multiset_eulerian.combinatorics import (
+    Chain,
+    Shape,
+    Word,
+    iter_permutations,
+    word_prefix_contents,
+)
 from multiset_eulerian.lattice import Point, coordinate_sum, iter_points
 from multiset_eulerian.qpoly import QPolynomial
 
@@ -230,3 +239,21 @@ def f2_enumerated(shape: Shape, n: int) -> QPolynomial:
             else:
                 tally[s] += 1
     return QPolynomial(tally)
+
+
+def iter_chains_of_word(word: Word, k: int) -> Iterator[Chain]:
+    """Chains obtained by cutting the word into k contiguous segments.
+
+    Cut positions run over the (k-1)-subsets of 1..d-1 in lexicographic
+    order; the vertices are the letter contents of the cut prefixes.
+    Every yielded chain is also produced by :func:`iter_chains` for the
+    word's shape.
+    """
+    d = len(word)
+    if k < 1 or k > d:
+        return
+    prefixes = word_prefix_contents(word)
+    origin = (0,) * len(prefixes[-1])
+    full = prefixes[-1]
+    for cuts in itertools.combinations(range(1, d), k - 1):
+        yield (origin,) + tuple(prefixes[c - 1] for c in cuts) + (full,)

@@ -7,13 +7,36 @@ from pathlib import Path
 import pytest
 
 import multiset_eulerian
-from multiset_eulerian.cli import _default_workers, main
+from multiset_eulerian.cli import UsageError, _default_workers, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _import_check(tmp_path, *argv):
+    """Run `verify *argv --workers 1` in a fresh interpreter.  Its stdout
+    says whether `multiprocessing` was loaded after importing the CLI and
+    after the run, with the exit code in between."""
+    script = (
+        "import sys\n"
+        "from multiset_eulerian import cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "code = cli.main(['verify', *sys.argv[2:], '--workers', '1',\n"
+        "                 '--output', sys.argv[1]])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    src = Path(multiset_eulerian.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out.jsonl"), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 class TestTable:
@@ -294,24 +317,14 @@ class TestVerify:
         assert json.loads(line)["status"] == "pass"
 
     def test_serial_run_does_not_import_multiprocessing(self, tmp_path):
-        script = (
-            "import sys\n"
-            "from multiset_eulerian import cli\n"
-            "print('multiprocessing' in sys.modules)\n"
-            "code = cli.main(['verify', '--dmax', '2', '--nmax', '2', '--q',\n"
-            "                 '--workers', '1', '--output', sys.argv[1]])\n"
-            "print(code, 'multiprocessing' in sys.modules)\n"
-        )
-        src = Path(multiset_eulerian.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "out.jsonl")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = _import_check(tmp_path, "--dmax", "2", "--nmax", "2", "--q")
         assert done.stdout == "False\n0 False\n", done.stderr
+
+    def test_zero_time_limit_does_not_import_multiprocessing(self, tmp_path):
+        # a spent budget truncates before a timed run would start its pool
+        argv = ("--dmax", "2", "--nmax", "2", "--q", "--time-limit", "0")
+        done = _import_check(tmp_path, *argv)
+        assert done.stdout == "False\n3 False\n", done.stderr
 
     def test_time_limit_truncates(self, capsys):
         code, out, _ = run_cli(
@@ -366,6 +379,17 @@ class TestVerify:
         assert code == 2
         assert "--workers" in err
 
+    @pytest.mark.parametrize("raw", ["zero", "0", "-3"])
+    def test_bad_workers_env_is_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MULTISET_EULERIAN_WORKERS", raw)
+        code, out, err = run_cli(capsys, "verify", "--dmax", "1")
+        assert code == 2
+        assert out == ""
+        assert "MULTISET_EULERIAN_WORKERS" in err
+        # only verify reads the variable, and --workers overrides it
+        assert run_cli(capsys, "verify", "--dmax", "1", "--workers", "1")[0] == 0
+        assert run_cli(capsys, "table", "--shape", "1,1", "--kind", "lah")[0] == 0
+
     def test_identity_list_filter(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -396,6 +420,7 @@ class TestParser:
         monkeypatch.setenv("MULTISET_EULERIAN_WORKERS", "4")
         assert _default_workers() == 4
         monkeypatch.setenv("MULTISET_EULERIAN_WORKERS", "zero")
-        assert _default_workers() == 1
+        with pytest.raises(UsageError):
+            _default_workers()
         monkeypatch.delenv("MULTISET_EULERIAN_WORKERS")
         assert _default_workers() == 1

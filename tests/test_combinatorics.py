@@ -14,14 +14,18 @@ from multiset_eulerian.combinatorics import (
     format_word,
     iter_all_chains,
     iter_chains,
-    iter_chains_of_word,
     iter_permutations,
     iter_shapes,
     major_index,
     partition_to_chain,
 )
 from multiset_eulerian.qpoly import binomial, multinomial
-from oracles import brute_chains, multiset_words, ordered_partition_count
+from oracles import (
+    brute_chains,
+    iter_chains_of_word,
+    multiset_words,
+    ordered_partition_count,
+)
 
 
 class TestShape:

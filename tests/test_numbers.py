@@ -2,12 +2,7 @@ import math
 
 import pytest
 
-from multiset_eulerian.combinatorics import (
-    Shape,
-    iter_chains_of_word,
-    iter_permutations,
-    iter_shapes,
-)
+from multiset_eulerian.combinatorics import Shape, iter_permutations, iter_shapes
 from multiset_eulerian.numbers import (
     a_polynomials,
     b_polynomials,
@@ -27,6 +22,7 @@ from oracles import (
     EULERIAN_CLASSICAL,
     FUBINI,
     brute_eulerian_row,
+    iter_chains_of_word,
     ordered_partition_count,
     stirling_second,
 )
