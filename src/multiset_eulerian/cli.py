@@ -4,7 +4,8 @@ Subcommands: ``table`` renders integer rows, ``qtable`` renders rows of
 q-polynomial coefficients, ``verify`` streams identity reports as JSON
 lines, and ``classify`` classifies a single lattice point.  Exit codes:
 0 success, 1 unexpected identity failure, 2 usage error, 3 resource
-truncation.
+truncation, 4 a job crashed (``verify`` ends its stream with an
+``error`` line naming the exception type, the identity and the shape).
 """
 
 from __future__ import annotations
@@ -250,7 +251,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     def emit(out: TextIO) -> int:
         unexpected = False
         completed = 0
-        for report in run:
+        reports = iter(run)
+        while True:
+            # only the run's own exceptions are caught; a failed write,
+            # such as a broken pipe, still propagates
+            try:
+                report = next(reports, None)
+            except Exception as exc:
+                # imported here, so a run that does not crash does not pay for it
+                import traceback
+
+                traceback.print_exc()
+                # reports arrive in job order, so the crashed job is the next
+                identity, shape, _ = jobs[completed]
+                out.write(
+                    json.dumps(
+                        {
+                            "error": type(exc).__name__,
+                            "identity": identity.value,
+                            "shape": list(shape.parts),
+                        },
+                        separators=(",", ":"),
+                    )
+                    + "\n"
+                )
+                return 4
+            if report is None:
+                break
             out.write(report.to_json_line() + "\n")
             completed += 1
             if report.expected and not report.passed:

@@ -10,6 +10,11 @@ multiset into k nonempty blocks.
 All enumerators are deterministic: permutations come out in
 lexicographic word order and chains in lexicographic order of their
 flattened vertex sequences, so repeated runs produce identical output.
+Neither recurses, so a shape deeper than the recursion limit is served:
+`iter_permutations` steps a word to its successor in place, and
+`iter_chains` walks an explicit stack of vertex frames and completes
+each chain's last two vertices at C level, from a memoised list per
+vertex joined to the prefix by `map`.
 """
 
 from __future__ import annotations
@@ -104,6 +109,13 @@ def iter_chains(shape: Shape, k: int) -> Iterator[Chain]:
     yielded in lexicographic order of their flattened vertex sequences.
     k outside 1..d yields nothing, except for the empty shape whose only
     chain is the single origin vertex at k = 0.
+
+    One generator, no recursion: an explicit stack holds a frame per
+    chosen vertex, so k may exceed the recursion limit.  The last
+    internal vertex and the target are not chosen in Python: each vertex
+    v has a memoised list of its (last internal vertex, target) pairs,
+    and the chains through v are yielded by mapping the prefix's tuple
+    concatenation over that list.  Both memos are local to the call.
     """
     target = shape.parts
     d = shape.size
@@ -114,10 +126,16 @@ def iter_chains(shape: Shape, k: int) -> Iterator[Chain]:
         return
     if k < 1 or k > d:
         return
+    if k == 1:
+        yield (origin, target)
+        return
 
     # vertex -> [(vertex above it, elements still to place)] in product
-    # order; at most prod(dj + 1) entries, dropped with the generator
+    # order, and vertex -> [(last internal vertex, target)] for the chains
+    # that end two steps above it; at most prod(dj + 1) entries each,
+    # dropped with the generator
     successors: dict[Vector, list[tuple[Vector, int]]] = {}
+    completions: dict[Vector, list[tuple[Vector, Vector]]] = {}
 
     def above(current: Vector) -> list[tuple[Vector, int]]:
         out = successors.get(current)
@@ -131,16 +149,38 @@ def iter_chains(shape: Shape, k: int) -> Iterator[Chain]:
             successors[current] = out
         return out
 
-    def extend(prefix: Chain, current: Vector, steps: int) -> Iterator[Chain]:
-        if steps == 1:
-            yield prefix + (target,)
-            return
-        for nxt, left in above(current):
+    def finish(current: Vector) -> list[tuple[Vector, Vector]]:
+        out = completions.get(current)
+        if out is None:
+            out = [(nxt, target) for nxt, left in above(current) if left >= 1]
+            completions[current] = out
+        return out
+
+    if k == 2:
+        yield from map((origin,).__add__, finish(origin))
+        return
+
+    # Each frame is (prefix, iterator over the successors of its last
+    # vertex, steps from that vertex to the target).  A frame three steps
+    # short picks the vertex v before the last internal one and hands
+    # every chain through v to `finish(v)`, joined at C level by map.
+    stack = [((origin,), iter(above(origin)), k)]
+    while stack:
+        prefix, successors_left, steps = stack[-1]
+        if steps == 3:
+            stack.pop()
+            for nxt, left in successors_left:
+                # steps - 1 = 2: the last internal vertex and the target
+                if left >= 2:
+                    yield from map((prefix + (nxt,)).__add__, finish(nxt))
+            continue
+        for nxt, left in successors_left:
             # the remaining steps each add at least one element
             if left >= steps - 1:
-                yield from extend(prefix + (nxt,), nxt, steps - 1)
-
-    yield from extend((origin,), origin, k)
+                stack.append((prefix + (nxt,), iter(above(nxt)), steps - 1))
+                break
+        else:
+            stack.pop()
 
 
 def iter_all_chains(shape: Shape) -> Iterator[Chain]:
@@ -151,7 +191,7 @@ def iter_all_chains(shape: Shape) -> Iterator[Chain]:
 
 def chain_major_index(chain: Chain) -> int:
     """Sum of coordinate totals over the internal vertices."""
-    return sum(sum(v) for v in chain[1:-1])
+    return sum(map(sum, chain[1:-1]))
 
 
 def chain_block_sizes(chain: Chain) -> tuple[int, ...]:

@@ -46,7 +46,8 @@ Point = tuple[tuple[int, ...], ...]
 Fibers = dict[tuple, dict[int, int]]
 
 
-@lru_cache(maxsize=None)
+# bounded memory: `verify --dmax 6 --nmax 6 --q` fills 42 entries
+@lru_cache(maxsize=256)
 def _factor_points(dj: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Weakly decreasing dj-tuples with entries in 0..n, lex ascending."""
     # drawn from the descending pool n..0, the tuples come out weakly
@@ -229,7 +230,8 @@ def chain_weight_sum(chain: Chain, n: int) -> QPolynomial:
     return _strict_weight(chain_block_sizes(chain), n)
 
 
-@lru_cache(maxsize=None)
+# bounded memory: `verify --dmax 6 --nmax 6 --q` fills 448 entries
+@lru_cache(maxsize=4096)
 def _strict_weight(sizes: tuple[int, ...], n: int) -> QPolynomial:
     if not sizes:
         return ONE

@@ -197,7 +197,8 @@ ZERO = QPolynomial()
 ONE = QPolynomial((1,))
 
 
-@lru_cache(maxsize=None)
+# bounded memory: `verify --dmax 6 --nmax 6 --q` fills 57 entries
+@lru_cache(maxsize=1024)
 def q_binomial(n: int, k: int) -> QPolynomial:
     """Gaussian binomial [n, k]_q as an integer polynomial.
 

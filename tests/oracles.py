@@ -9,7 +9,9 @@ The region-membership tests and the enumerated generating functions at
 the end are cross-checks of the package's closed forms: they walk the
 package's own point and word enumerators and test each point directly.
 Cutting a word into segments, last, is checked against the package's
-chain enumerator and Lah row.
+chain enumerator and Lah row.  The recursive chain enumerator the
+package used before its explicit-stack one is kept as a reference for
+its chains and their order.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Iterator
 from multiset_eulerian.combinatorics import (
     Chain,
     Shape,
+    Vector,
     Word,
     iter_permutations,
     word_prefix_contents,
@@ -127,6 +130,54 @@ def brute_chains(parts: tuple[int, ...], k: int) -> set[tuple[tuple[int, ...], .
         if all(increases(u, v) for u, v in zip(seq, seq[1:])):
             chains.add(seq)
     return chains
+
+
+def recursive_chains(shape: Shape, k: int) -> Iterator[Chain]:
+    """The package's former recursive chain enumerator, kept as the
+    reference for :func:`iter_chains`: the same chains in the same order.
+
+    A chain runs from the origin to the full content vector; each step
+    increases at least one coordinate and decreases none.  Chains are
+    yielded in lexicographic order of their flattened vertex sequences.
+    k outside 1..d yields nothing, except for the empty shape whose only
+    chain is the single origin vertex at k = 0.
+    """
+    target = shape.parts
+    d = shape.size
+    origin = (0,) * shape.letters
+    if d == 0:
+        if k == 0:
+            yield (origin,)
+        return
+    if k < 1 or k > d:
+        return
+
+    # vertex -> [(vertex above it, elements still to place)] in product
+    # order; at most prod(dj + 1) entries, dropped with the generator
+    successors: dict[Vector, list[tuple[Vector, int]]] = {}
+
+    def above(current: Vector) -> list[tuple[Vector, int]]:
+        out = successors.get(current)
+        if out is None:
+            ranges = [range(c, t + 1) for c, t in zip(current, target)]
+            out = [
+                (nxt, d - sum(nxt))
+                for nxt in itertools.product(*ranges)
+                if nxt != current
+            ]
+            successors[current] = out
+        return out
+
+    def extend(prefix: Chain, current: Vector, steps: int) -> Iterator[Chain]:
+        if steps == 1:
+            yield prefix + (target,)
+            return
+        for nxt, left in above(current):
+            # the remaining steps each add at least one element
+            if left >= steps - 1:
+                yield from extend(prefix + (nxt,), nxt, steps - 1)
+
+    yield from extend((origin,), origin, k)
 
 
 def brute_classify_first(point: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

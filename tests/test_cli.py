@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import multiset_eulerian
+from multiset_eulerian import verify
 from multiset_eulerian.cli import UsageError, _default_workers, main
+from multiset_eulerian.combinatorics import Shape
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +336,34 @@ class TestVerify:
         lines = out.splitlines()
         marker = json.loads(lines[-1])
         assert marker == {"truncated": True, "completed": 0, "total": 15}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_crashed_job_exits_4(self, capsys, monkeypatch, workers):
+        # the lah checker runs out of memory on shape 2; with two workers
+        # the forked pool inherits the patched table
+        lah = verify._CHECKERS[verify.IdentityId.LAH]
+
+        def crash(shape, n_max):
+            if shape == Shape((2,)):
+                raise MemoryError
+            return lah(shape, n_max)
+
+        monkeypatch.setitem(verify._CHECKERS, verify.IdentityId.LAH, crash)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--dmax", "2", "--nmax", "2",
+            "--identity", "stirling2,lah", "--workers", workers,
+        )
+        assert code == 4
+        lines = out.splitlines()
+        reports = [json.loads(line) for line in lines[:-1]]
+        assert [(r["identity"], r["shape"]) for r in reports] == [
+            ("stirling2", [1]), ("stirling2", [2]), ("stirling2", [1, 1]),
+            ("lah", [1]),
+        ]
+        assert all(r["status"] == "pass" for r in reports)
+        assert lines[-1] == '{"error":"MemoryError","identity":"lah","shape":[2]}'
+        assert "MemoryError" in err
 
     @pytest.mark.parametrize("limit", ["-5", "nan"])
     def test_bad_time_limit_is_usage_error(self, capsys, limit):

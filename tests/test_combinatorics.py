@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from oracles import (
     iter_chains_of_word,
     multiset_words,
     ordered_partition_count,
+    recursive_chains,
 )
 
 
@@ -120,6 +122,20 @@ class TestChains:
                     key=lambda ch: tuple(c for v in ch for c in v),
                 )
                 assert list(iter_chains(shape, k)) == expected
+
+    def test_matches_recursive_reference(self):
+        # same chains in the same order, out-of-range k and d = 0 included
+        shapes = [Shape(())] + list(iter_shapes(7))
+        for shape in shapes:
+            for k in range(shape.size + 2):
+                expected = list(recursive_chains(shape, k))
+                assert list(iter_chains(shape, k)) == expected, (shape, k)
+
+    def test_beyond_the_recursion_limit(self):
+        m = sys.getrecursionlimit() + 100
+        assert list(iter_chains(Shape((m,)), m)) == [
+            tuple((i,) for i in range(m + 1))
+        ]
 
     def test_counts_match_partition_oracle(self):
         for shape in iter_shapes(5):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from multiset_eulerian import verify
+from multiset_eulerian import lattice, verify
 from multiset_eulerian.combinatorics import (
     Shape,
     chain_block_sizes,
@@ -15,7 +15,7 @@ from multiset_eulerian.combinatorics import (
     iter_shapes,
 )
 from multiset_eulerian.lattice import chain_weight_sum
-from multiset_eulerian.qpoly import QPolynomial
+from multiset_eulerian.qpoly import QPolynomial, q_binomial
 from multiset_eulerian.verify import (
     IdentityId,
     SuiteRun,
@@ -285,6 +285,17 @@ class TestSuite:
             (IdentityId.LAH_Q, (1, 1)),
         }
         assert result.unexpected_failures == []
+
+    def test_caches_are_bounded_and_do_not_evict(self):
+        # a serial d <= 4 run with every identity fits the three caches
+        caches = (q_binomial, lattice._strict_weight, lattice._factor_points)
+        for cache in caches:
+            cache.cache_clear()
+        assert run_suite(d_max=4, n_max=6, include_q=True).ok
+        for cache in caches:
+            info = cache.cache_info()
+            assert isinstance(info.maxsize, int)
+            assert info.misses == info.currsize < info.maxsize
 
     def test_worker_pool_matches_serial(self):
         serial = run_suite(d_max=2, n_max=3, include_q=True, workers=1)
