@@ -6,17 +6,29 @@ lines, and ``classify`` classifies a single lattice point.  Exit codes:
 0 success, 1 unexpected identity failure, 2 usage error, 3 resource
 truncation, 4 a job crashed (``verify`` ends its stream with an
 ``error`` line naming the exception type, the identity and the shape).
+
+Every input is served or rejected with exit code 2, never with a
+traceback.  Usage errors include a shape with d = 0 (for every
+command), an ``--output`` that cannot be opened for writing, and a
+``verify`` selection that would check nothing, such as an empty
+``--identity``.  A ``--time-limit`` longer than the longest wait the
+pool supports, ``inf`` included, is served as an untimed run.
+
+Each command, row kind and option is declared once: a subparser names
+its command function with ``set_defaults(run=...)``, the row kinds are
+the keys of ``_ROWS`` and ``_FAMILIES``, and every command writes
+through ``_sink``.  Job selection rules live in ``verify.suite_jobs``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from typing import Sequence, TextIO
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO
 
 from .combinatorics import (
     Shape,
@@ -35,9 +47,22 @@ from .numbers import (
     lah_row,
     stirling2_row_closed,
 )
-from .verify import IdentityId, SuiteRun, suite_jobs
+from .verify import SuiteRun, suite_jobs
 
 WORKERS_ENV = "MULTISET_EULERIAN_WORKERS"
+
+# table kind -> (closed row function, index of the row's first entry)
+_ROWS = {
+    "eulerian": (eulerian_row_closed, 0),
+    "stirling2": (stirling2_row_closed, 1),
+    "lah": (lah_row, 1),
+}
+# qtable kind -> q-polynomial family, indexed from 1
+_FAMILIES = {
+    "A": a_polynomials,
+    "B": b_polynomials,
+    "C": lambda shape: c_polynomials(shape, method="closed"),
+}
 
 
 class UsageError(Exception):
@@ -45,10 +70,13 @@ class UsageError(Exception):
 
 
 def _parse_shape(text: str) -> Shape:
+    """A shape with d >= 1; every command needs one."""
     try:
         shape = Shape.parse(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if shape.size == 0:
+        raise UsageError(f"shape {text!r} has d = 0; a shape needs d >= 1")
     if shape.letters < text.count(",") + 1:
         print(
             f"warning: dropping zero parts from shape {text!r}", file=sys.stderr
@@ -71,16 +99,34 @@ def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]
     return point
 
 
-def _default_workers() -> int:
-    """Worker count from the environment, 1 when unset; anything but a
-    positive integer is a usage error."""
-    raw = os.environ.get(WORKERS_ENV, "1")
+def _positive_int(raw: str, source: str) -> int:
     try:
         if int(raw) >= 1:
             return int(raw)
     except ValueError:
         pass
-    raise UsageError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    raise UsageError(f"{source} must be a positive integer, got {raw!r}")
+
+
+def _default_workers() -> int:
+    """Worker count from the environment, 1 when unset; anything but a
+    positive integer is a usage error."""
+    return _positive_int(os.environ.get(WORKERS_ENV, "1"), WORKERS_ENV)
+
+
+@contextmanager
+def _sink(path: "str | None") -> Iterator[TextIO]:
+    """The command's output: the file at `path`, else standard output.  A
+    file that cannot be opened for writing is a usage error."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {path!r}: {exc.strerror}") from None
+    with fh:
+        yield fh
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,20 +135,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact multiset Eulerian and ordered Stirling computations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write to this file, not to stdout")
+    row = argparse.ArgumentParser(add_help=False, parents=[output])
+    row.add_argument("--shape", required=True)
+    row.add_argument("--format", choices=["json", "csv"], default="json")
 
-    table = sub.add_parser("table", help="integer row for one shape")
-    table.add_argument("--shape", required=True)
-    table.add_argument(
-        "--kind", required=True, choices=["eulerian", "stirling2", "lah"]
+    table = sub.add_parser("table", parents=[row], help="integer row for one shape")
+    table.add_argument("--kind", required=True, choices=_ROWS)
+    table.set_defaults(run=_cmd_table)
+
+    qtable = sub.add_parser(
+        "qtable", parents=[row], help="q-polynomial row for one shape"
     )
-    _output_args(table)
+    qtable.add_argument("--kind", required=True, choices=_FAMILIES)
+    qtable.set_defaults(run=_cmd_qtable)
 
-    qtable = sub.add_parser("qtable", help="q-polynomial row for one shape")
-    qtable.add_argument("--shape", required=True)
-    qtable.add_argument("--kind", required=True, choices=["A", "B", "C"])
-    _output_args(qtable)
-
-    verify = sub.add_parser("verify", help="run identity checks as JSON lines")
+    verify = sub.add_parser(
+        "verify", parents=[output], help="run identity checks as JSON lines"
+    )
     verify.add_argument("--dmax", type=int)
     verify.add_argument("--lmax", type=int)
     verify.add_argument("--nmax", type=int, default=8)
@@ -114,127 +165,74 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated identity names (default: all registered)",
     )
     verify.add_argument("--shape", help="restrict the run to one shape")
-    verify.add_argument("--workers", type=int)
+    verify.add_argument("--workers")
     verify.add_argument(
         "--time-limit",
         type=float,
         help="wall-clock budget in seconds; exceeding it truncates the run",
     )
-    verify.add_argument("--output")
+    verify.set_defaults(run=_cmd_verify)
 
-    classify = sub.add_parser("classify", help="classify one lattice point")
+    classify = sub.add_parser(
+        "classify", parents=[output], help="classify one lattice point"
+    )
     classify.add_argument("--shape", required=True)
     classify.add_argument("--n", type=int, required=True)
     classify.add_argument(
         "--point", required=True, help='grouped coordinates, e.g. "2,1;1"'
     )
-    classify.add_argument("--output")
+    classify.set_defaults(run=_cmd_classify)
 
     return parser
 
 
-def _output_args(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--format", choices=["json", "csv"], default="json")
-    cmd.add_argument("--output")
-
-
-def _write(text: str, path: "str | None") -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_rows(args: argparse.Namespace, shape: Shape, rows: list[dict]) -> None:
+    """Write a table or qtable row: one JSON document, or one CSV line per
+    entry with list values joined by spaces."""
+    with _sink(args.output) as out:
+        if args.format == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["shape", *rows[0]])
+            for r in rows:
+                cells = (" ".join(c) if isinstance(c, list) else c for c in r.values())
+                writer.writerow([str(shape), *cells])
+        else:
+            doc = {"shape": list(shape.parts), "kind": args.kind, "rows": rows}
+            out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.shape)
-    try:
-        if args.kind == "eulerian":
-            row = eulerian_row_closed(shape)
-            start = 0
-        elif args.kind == "stirling2":
-            row = stirling2_row_closed(shape)
-            start = 1
-        else:
-            row = lah_row(shape)
-            start = 1
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    rows = [(start + i, v) for i, v in enumerate(row.values)]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["shape", "index", "value"])
-        for index, value in rows:
-            writer.writerow([str(shape), index, value])
-        _write(buf.getvalue(), args.output)
-    else:
-        doc = {
-            "shape": list(shape.parts),
-            "kind": args.kind,
-            "rows": [{"index": i, "value": str(v)} for i, v in rows],
-        }
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
+    row, start = _ROWS[args.kind]
+    values = row(shape).values
+    rows = [{"index": start + i, "value": str(v)} for i, v in enumerate(values)]
+    _write_rows(args, shape, rows)
     return 0
 
 
 def _cmd_qtable(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.shape)
-    try:
-        if args.kind == "A":
-            family = a_polynomials(shape)
-        elif args.kind == "B":
-            family = b_polynomials(shape)
-        else:
-            family = c_polynomials(shape, method="closed")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    family = _FAMILIES[args.kind](shape)
     rows = [
-        (i, poly.to_coeff_strings(), poly(1))
+        {"index": i, "coefficients": poly.to_coeff_strings(), "at_q1": str(poly(1))}
         for i, poly in enumerate(family.values, start=1)
     ]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["shape", "index", "coefficients", "at_q1"])
-        for index, coeffs, at_one in rows:
-            writer.writerow([str(shape), index, " ".join(coeffs), at_one])
-        _write(buf.getvalue(), args.output)
-    else:
-        doc = {
-            "shape": list(shape.parts),
-            "kind": args.kind,
-            "rows": [
-                {"index": i, "coefficients": coeffs, "at_q1": str(at_one)}
-                for i, coeffs, at_one in rows
-            ],
-        }
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
+    _write_rows(args, shape, rows)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    identities = None
-    if args.identity:
-        names = [tok.strip() for tok in args.identity.split(",") if tok.strip()]
-        try:
-            identities = [IdentityId(name) for name in names]
-        except ValueError:
-            known = ", ".join(i.value for i in IdentityId)
-            raise UsageError(
-                f"unknown identity in {args.identity!r}; known: {known}"
-            ) from None
-    shapes = None
-    if args.shape:
-        shape = _parse_shape(args.shape)
-        if shape.size == 0:
-            raise UsageError("verify requires a shape with d >= 1")
-        shapes = [shape]
-    if shapes is None and args.dmax is None:
+    shapes = identities = None
+    if args.shape is not None:
+        shapes = [_parse_shape(args.shape)]
+    elif args.dmax is None:
         raise UsageError("need --dmax or --shape")
-    workers = _default_workers() if args.workers is None else args.workers
-    if workers < 1:
-        raise UsageError("--workers must be at least 1")
+    if args.identity is not None:
+        identities = [tok.strip() for tok in args.identity.split(",") if tok.strip()]
+    if args.workers is None:
+        workers = _default_workers()
+    else:
+        workers = _positive_int(args.workers, "--workers")
     try:
         jobs = suite_jobs(
             d_max=args.dmax,
@@ -248,7 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    def emit(out: TextIO) -> int:
+    with _sink(args.output) as out:
         unexpected = False
         completed = 0
         reports = iter(run)
@@ -297,11 +295,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return 3
         return 1 if unexpected else 0
 
-    if args.output is None:
-        return emit(sys.stdout)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        return emit(fh)
-
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.shape)
@@ -318,16 +311,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "block_sizes": list(chain_block_sizes(chain)),
         "k": len(chain) - 1,
     }
-    _write(json.dumps(doc, indent=2) + "\n", args.output)
+    with _sink(args.output) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     return 0
-
-
-_COMMANDS = {
-    "table": _cmd_table,
-    "qtable": _cmd_qtable,
-    "verify": _cmd_verify,
-    "classify": _cmd_classify,
-}
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
@@ -337,7 +323,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ a job still running at the deadline is stopped.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,7 +74,8 @@ class IdentityId(str, Enum):
     Each member is declared once with its two flags: `is_q` marks the
     identities that compute q-polynomials rather than integers, and
     `expected` is False where a failure is informative rather than an
-    error.  The checker that computes each one is in `_CHECKERS`.
+    error.  The checker that computes each one is in `_CHECKERS`.  Looking
+    up an unknown name raises ValueError listing the known ones.
     """
 
     is_q: bool
@@ -96,6 +98,11 @@ class IdentityId(str, Enum):
     DECOMP_FIRST = "decomp_first", False, True
     DECOMP_SECOND = "decomp_second", False, True
 
+    @classmethod
+    def _missing_(cls, value: object) -> "IdentityId":
+        known = ", ".join(i.value for i in cls)
+        raise ValueError(f"unknown identity {value!r}; known: {known}")
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -115,8 +122,11 @@ class CheckRecord:
 class IdentityReport:
     identity: IdentityId
     shape: Shape
-    expected: bool
     records: tuple[CheckRecord, ...]
+
+    @property
+    def expected(self) -> bool:
+        return self.identity.expected
 
     @property
     def passed(self) -> bool:
@@ -291,7 +301,7 @@ def check_decomposition(kind: str, shape: Shape, n: int) -> IdentityReport:
         IdentityId.DECOMP_FIRST if kind == "first" else IdentityId.DECOMP_SECOND
     )
     record = _prepare_decomposition(kind, shape)(n)
-    return IdentityReport(identity, shape, True, (record,))
+    return IdentityReport(identity, shape, (record,))
 
 
 # The lambdas look names up in this module's globals when they run, not
@@ -334,17 +344,21 @@ _CHECKERS = {
 }
 
 
+def _require_positive_size(shape: Shape) -> None:
+    if shape.size == 0:
+        raise ValueError("identity checks require a shape with d >= 1")
+
+
 def check_identity(
     identity: "IdentityId | str", shape: Shape, n_max: int
 ) -> IdentityReport:
     """Compute both sides for n = 0..n_max and report the exact results."""
     identity = IdentityId(identity)
-    if shape.size == 0:
-        raise ValueError("identity checks require a shape with d >= 1")
+    _require_positive_size(shape)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     records = _CHECKERS[identity](shape, n_max)
-    return IdentityReport(identity, shape, identity.expected, tuple(records))
+    return IdentityReport(identity, shape, tuple(records))
 
 
 Job = tuple[IdentityId, Shape, int]
@@ -361,8 +375,9 @@ def suite_jobs(
     """Ordered job list for a suite run: identities in registry order,
     shapes ordered by size, then part count, then lexicographically.
 
-    Ranges that would select no work or an invalid level (n_max < 0,
-    d_max < 1, l_max < 1) raise ValueError instead of giving an empty or
+    Selections that would check nothing or an invalid level (n_max < 0,
+    d_max < 1, l_max < 1, no identity, no shape, a shape with d = 0) and
+    unknown identity names raise ValueError instead of giving an empty or
     failing run.
     """
     if n_max < 0:
@@ -375,6 +390,8 @@ def suite_jobs(
         selected = [i for i in IdentityId if include_q or not i.is_q]
     else:
         wanted = {IdentityId(i) for i in identities}
+        if not wanted:
+            raise ValueError("no identity selected")
         selected = [i for i in IdentityId if i in wanted]
     if shapes is None:
         if d_max is None:
@@ -382,6 +399,10 @@ def suite_jobs(
         shape_list = list(iter_shapes(d_max, l_max))
     else:
         shape_list = list(shapes)
+        if not shape_list:
+            raise ValueError("no shape selected")
+        for shape in shape_list:
+            _require_positive_size(shape)
     return [(i, s, n_max) for i in selected for s in shape_list]
 
 
@@ -417,10 +438,12 @@ class SuiteRun:
         self.truncated = False
 
     def _remaining(self, start: float) -> "float | None":
-        """Seconds left in the budget (at least 0), or None without one."""
+        """Seconds left in the budget, or None without one: at least 0, and
+        at most `threading.TIMEOUT_MAX`, the longest wait a pool accepts."""
         if self.time_limit is None:
             return None
-        return max(0.0, self.time_limit - (time.monotonic() - start))
+        left = self.time_limit - (time.monotonic() - start)
+        return min(threading.TIMEOUT_MAX, max(0.0, left))
 
     def __iter__(self) -> Iterator[IdentityReport]:
         start = time.monotonic()

@@ -12,6 +12,9 @@ from multiset_eulerian.cli import UsageError, _default_workers, main
 from multiset_eulerian.combinatorics import Shape
 
 
+DATA = Path(__file__).parent / "data" / "cli"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -58,25 +61,6 @@ class TestTable:
             ],
         }
         assert out.endswith("\n")
-
-    def test_stirling_csv_exact(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "table",
-            "--shape",
-            "2,1",
-            "--kind",
-            "stirling2",
-            "--format",
-            "csv",
-        )
-        assert code == 0
-        assert out == (
-            "shape,index,value\n"
-            '"2,1",1,1\n'
-            '"2,1",2,4\n'
-            '"2,1",3,3\n'
-        )
 
     def test_lah_json(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--shape", "2,1", "--kind", "lah")
@@ -133,17 +117,6 @@ class TestQTable:
         assert [r["coefficients"] for r in doc["rows"]] == [["0", "1"], ["1"]]
         assert [r["at_q1"] for r in doc["rows"]] == ["1", "1"]
 
-    def test_b_family_csv_exact(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "qtable", "--shape", "1,1", "--kind", "B", "--format", "csv"
-        )
-        assert code == 0
-        assert out == (
-            "shape,index,coefficients,at_q1\n"
-            '"1,1",1,1,1\n'
-            '"1,1",2,0 2,2\n'
-        )
-
     def test_c_family_json(self, capsys):
         code, out, _ = run_cli(capsys, "qtable", "--shape", "2,1", "--kind", "C")
         doc = json.loads(out)
@@ -153,6 +126,59 @@ class TestQTable:
             ["0", "0", "0", "3"],
         ]
         assert [r["at_q1"] for r in doc["rows"]] == ["3", "6", "3"]
+
+
+# (file under tests/data/cli holding the exact output, argv)
+_PINNED = [
+    *(
+        (
+            f"{cmd}-{kind}-2-1.{fmt}",
+            (cmd, "--shape", "2,1", "--kind", kind, "--format", fmt),
+        )
+        for cmd, kinds in (
+            ("table", ("eulerian", "stirling2", "lah")),
+            ("qtable", ("A", "B", "C")),
+        )
+        for kind in kinds
+        for fmt in ("json", "csv")
+    ),
+    (
+        "qtable-B-1-1.csv",
+        ("qtable", "--shape", "1,1", "--kind", "B", "--format", "csv"),
+    ),
+    # the README example
+    (
+        "classify-2-1.json",
+        ("classify", "--shape", "2,1", "--n", "2", "--point", "2,1;1"),
+    ),
+]
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize(
+        "name, argv", _PINNED, ids=[name for name, _ in _PINNED]
+    )
+    def test_exact_bytes(self, capsys, name, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--shape", "2,1", "--kind", "lah"),
+            ("qtable", "--shape", "2,1", "--kind", "A"),
+            ("verify", "--dmax", "1", "--nmax", "0"),
+            ("classify", "--shape", "2,1", "--n", "2", "--point", "2,1;1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv):
+        # a missing directory, then a directory in place of the file
+        for target in (tmp_path / "missing" / "out", tmp_path):
+            code, out, err = run_cli(capsys, *argv, "--output", str(target))
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestClassify:
@@ -365,6 +391,15 @@ class TestVerify:
         assert lines[-1] == '{"error":"MemoryError","identity":"lah","shape":[2]}'
         assert "MemoryError" in err
 
+    @pytest.mark.parametrize("limit", ["inf", "1e300"])
+    def test_time_limit_beyond_timeout_max(self, capsys, limit):
+        # a budget longer than threading.TIMEOUT_MAX is served as untimed;
+        # the timed run goes through a one-process pool
+        argv = ("verify", "--dmax", "1", "--nmax", "0", "--workers", "1")
+        untimed = run_cli(capsys, *argv)
+        assert untimed[0] == 0
+        assert run_cli(capsys, *argv, "--time-limit", limit) == untimed
+
     @pytest.mark.parametrize("limit", ["-5", "nan"])
     def test_bad_time_limit_is_usage_error(self, capsys, limit):
         code, out, err = run_cli(
@@ -386,6 +421,11 @@ class TestVerify:
             ("--dmax", "0"),
             ("--dmax", "-3"),
             ("--dmax", "3", "--lmax", "0"),
+            # selections that would check nothing, or a shape with d = 0
+            ("--dmax", "2", "--identity", ","),
+            ("--dmax", "2", "--identity", ""),
+            ("--dmax", "2", "--shape", ""),
+            ("--shape", "0"),
         ],
     )
     def test_bad_range_is_usage_error(self, capsys, argv):

@@ -430,6 +430,9 @@ class TestSuite:
             {"d_max": 0},
             {"d_max": -3},
             {"d_max": 3, "l_max": 0},
+            {"d_max": 2, "identities": []},
+            {"shapes": []},
+            {"shapes": [Shape(())]},
         ):
             with pytest.raises(ValueError):
                 suite_jobs(**bad_range)
