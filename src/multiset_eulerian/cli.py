@@ -8,11 +8,11 @@ truncation, 4 a job crashed (``verify`` ends its stream with an
 ``error`` line naming the exception type, the identity and the shape).
 
 Every input is served or rejected with exit code 2, never with a
-traceback.  Usage errors include a shape with d = 0 (for every
-command), an ``--output`` that cannot be opened for writing, and a
-``verify`` selection that would check nothing, such as an empty
-``--identity``.  A ``--time-limit`` longer than the longest wait the
-pool supports, ``inf`` included, is served as an untimed run.
+traceback.  Usage errors include a shape that ``Shape.parse`` rejects,
+an ``--output`` that cannot be opened for writing, and a ``verify``
+selection that would check nothing, such as an empty ``--identity``.
+A ``--time-limit`` longer than the longest wait the pool supports,
+``inf`` included, is served as an untimed run.
 
 Each command, row kind and option is declared once: a subparser names
 its command function with ``set_defaults(run=...)``, the row kinds are
@@ -47,17 +47,17 @@ from .numbers import (
     lah_row,
     stirling2_row_closed,
 )
-from .verify import SuiteRun, suite_jobs
+from .verify import SuiteRun, json_line, suite_jobs
 
 WORKERS_ENV = "MULTISET_EULERIAN_WORKERS"
 
-# table kind -> (closed row function, index of the row's first entry)
+# table kind -> closed integer row
 _ROWS = {
-    "eulerian": (eulerian_row_closed, 0),
-    "stirling2": (stirling2_row_closed, 1),
-    "lah": (lah_row, 1),
+    "eulerian": eulerian_row_closed,
+    "stirling2": stirling2_row_closed,
+    "lah": lah_row,
 }
-# qtable kind -> q-polynomial family, indexed from 1
+# qtable kind -> q-polynomial row
 _FAMILIES = {
     "A": a_polynomials,
     "B": b_polynomials,
@@ -70,13 +70,10 @@ class UsageError(Exception):
 
 
 def _parse_shape(text: str) -> Shape:
-    """A shape with d >= 1; every command needs one."""
     try:
         shape = Shape.parse(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if shape.size == 0:
-        raise UsageError(f"shape {text!r} has d = 0; a shape needs d >= 1")
     if shape.letters < text.count(",") + 1:
         print(
             f"warning: dropping zero parts from shape {text!r}", file=sys.stderr
@@ -203,19 +200,20 @@ def _write_rows(args: argparse.Namespace, shape: Shape, rows: list[dict]) -> Non
 
 def _cmd_table(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.shape)
-    row, start = _ROWS[args.kind]
-    values = row(shape).values
-    rows = [{"index": start + i, "value": str(v)} for i, v in enumerate(values)]
+    row = _ROWS[args.kind](shape)
+    rows = [
+        {"index": i, "value": str(v)} for i, v in enumerate(row.values, row.start)
+    ]
     _write_rows(args, shape, rows)
     return 0
 
 
 def _cmd_qtable(args: argparse.Namespace) -> int:
     shape = _parse_shape(args.shape)
-    family = _FAMILIES[args.kind](shape)
+    row = _FAMILIES[args.kind](shape)
     rows = [
         {"index": i, "coefficients": poly.to_coeff_strings(), "at_q1": str(poly(1))}
-        for i, poly in enumerate(family.values, start=1)
+        for i, poly in enumerate(row.values, row.start)
     ]
     _write_rows(args, shape, rows)
     return 0
@@ -262,17 +260,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 traceback.print_exc()
                 # reports arrive in job order, so the crashed job is the next
                 identity, shape, _ = jobs[completed]
-                out.write(
-                    json.dumps(
-                        {
-                            "error": type(exc).__name__,
-                            "identity": identity.value,
-                            "shape": list(shape.parts),
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+                error = {
+                    "error": type(exc).__name__,
+                    "identity": identity.value,
+                    "shape": list(shape.parts),
+                }
+                out.write(json_line(error) + "\n")
                 return 4
             if report is None:
                 break
@@ -281,17 +274,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if report.expected and not report.passed:
                 unexpected = True
         if run.truncated:
-            out.write(
-                json.dumps(
-                    {
-                        "truncated": True,
-                        "completed": completed,
-                        "total": len(jobs),
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+            marker = {"truncated": True, "completed": completed, "total": len(jobs)}
+            out.write(json_line(marker) + "\n")
             return 3
         return 1 if unexpected else 0
 

@@ -31,7 +31,8 @@ Blocks = tuple[Vector, ...]
 
 @dataclass(frozen=True)
 class Shape:
-    """Composition (d1, ..., dl); zero parts are dropped on construction."""
+    """Composition (d1, ..., dl) with d >= 1; zero parts are dropped on
+    construction, and a shape with no positive part is rejected."""
 
     parts: tuple[int, ...]
 
@@ -39,7 +40,10 @@ class Shape:
         cleaned = tuple(int(p) for p in self.parts)
         if any(p < 0 for p in cleaned):
             raise ValueError("shape parts must be nonnegative")
-        object.__setattr__(self, "parts", tuple(p for p in cleaned if p > 0))
+        parts = tuple(p for p in cleaned if p > 0)
+        if not parts:
+            raise ValueError("a shape needs d >= 1")
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def parse(cls, text: str) -> "Shape":
@@ -68,10 +72,7 @@ class Shape:
 
 
 def iter_permutations(shape: Shape) -> Iterator[Word]:
-    """Yield every word with the shape's letter counts, lexicographically.
-
-    The empty shape yields the single empty word.
-    """
+    """Yield every word with the shape's letter counts, lexicographically."""
     word = [j for j, p in enumerate(shape.parts, start=1) for _ in range(p)]
     last = len(word) - 1
     while True:
@@ -107,52 +108,53 @@ def iter_chains(shape: Shape, k: int) -> Iterator[Chain]:
     A chain runs from the origin to the full content vector; each step
     increases at least one coordinate and decreases none.  Chains are
     yielded in lexicographic order of their flattened vertex sequences.
-    k outside 1..d yields nothing, except for the empty shape whose only
-    chain is the single origin vertex at k = 0.
+    k outside 1..d yields nothing.
 
     One generator, no recursion: an explicit stack holds a frame per
     chosen vertex, so k may exceed the recursion limit.  The last
     internal vertex and the target are not chosen in Python: each vertex
     v has a memoised list of its (last internal vertex, target) pairs,
     and the chains through v are yielded by mapping the prefix's tuple
-    concatenation over that list.  Both memos are local to the call.
+    concatenation over that list.  The successors of a vertex with a
+    given number of steps left are filtered once, to those from which the
+    target is still reachable, and memoised.  Both memos are local to the
+    call.
     """
     target = shape.parts
     d = shape.size
     origin = (0,) * shape.letters
-    if d == 0:
-        if k == 0:
-            yield (origin,)
-        return
     if k < 1 or k > d:
         return
     if k == 1:
         yield (origin, target)
         return
 
-    # vertex -> [(vertex above it, elements still to place)] in product
-    # order, and vertex -> [(last internal vertex, target)] for the chains
-    # that end two steps above it; at most prod(dj + 1) entries each,
-    # dropped with the generator
-    successors: dict[Vector, list[tuple[Vector, int]]] = {}
+    # (vertex, steps) -> [admissible vertex above it] in product order, and
+    # vertex -> [(last internal vertex, target)] for the chains that end
+    # two steps above it; at most k * prod(dj + 1) and prod(dj + 1)
+    # entries, dropped with the generator
+    successors: dict[tuple[Vector, int], list[Vector]] = {}
     completions: dict[Vector, list[tuple[Vector, Vector]]] = {}
 
-    def above(current: Vector) -> list[tuple[Vector, int]]:
-        out = successors.get(current)
+    def above(current: Vector, steps: int) -> list[Vector]:
+        out = successors.get((current, steps))
         if out is None:
-            ranges = [range(c, t + 1) for c, t in zip(current, target)]
-            out = [
-                (nxt, d - sum(nxt))
-                for nxt in itertools.product(*ranges)
-                if nxt != current
-            ]
-            successors[current] = out
+            # the steps - 1 steps after this one each add at least one
+            # element, so a successor holds at most `top` elements and no
+            # coordinate grows by more than `room`
+            top = d - steps + 1
+            room = top - sum(current)
+            ranges = [range(c, min(c + room, t) + 1) for c, t in zip(current, target)]
+            # the product's first tuple is `current` itself
+            candidates = itertools.islice(itertools.product(*ranges), 1, None)
+            out = [nxt for nxt in candidates if sum(nxt) <= top]
+            successors[(current, steps)] = out
         return out
 
     def finish(current: Vector) -> list[tuple[Vector, Vector]]:
         out = completions.get(current)
         if out is None:
-            out = [(nxt, target) for nxt, left in above(current) if left >= 1]
+            out = [(nxt, target) for nxt in above(current, 2)]
             completions[current] = out
         return out
 
@@ -160,27 +162,24 @@ def iter_chains(shape: Shape, k: int) -> Iterator[Chain]:
         yield from map((origin,).__add__, finish(origin))
         return
 
-    # Each frame is (prefix, iterator over the successors of its last
-    # vertex, steps from that vertex to the target).  A frame three steps
-    # short picks the vertex v before the last internal one and hands
-    # every chain through v to `finish(v)`, joined at C level by map.
-    stack = [((origin,), iter(above(origin)), k)]
+    # Each frame is (prefix, iterator over the admissible successors of its
+    # last vertex, steps from that vertex to the target).  Every successor
+    # leads to at least one chain.  A frame three steps short picks the
+    # vertex v before the last internal one and hands every chain through
+    # v to `finish(v)`, joined at C level by map.
+    stack = [((origin,), iter(above(origin, k)), k)]
     while stack:
         prefix, successors_left, steps = stack[-1]
         if steps == 3:
             stack.pop()
-            for nxt, left in successors_left:
-                # steps - 1 = 2: the last internal vertex and the target
-                if left >= 2:
-                    yield from map((prefix + (nxt,)).__add__, finish(nxt))
+            for nxt in successors_left:
+                yield from map((prefix + (nxt,)).__add__, finish(nxt))
             continue
-        for nxt, left in successors_left:
-            # the remaining steps each add at least one element
-            if left >= steps - 1:
-                stack.append((prefix + (nxt,), iter(above(nxt)), steps - 1))
-                break
-        else:
+        nxt = next(successors_left, None)
+        if nxt is None:
             stack.pop()
+        else:
+            stack.append((prefix + (nxt,), iter(above(nxt, steps - 1)), steps - 1))
 
 
 def iter_all_chains(shape: Shape) -> Iterator[Chain]:

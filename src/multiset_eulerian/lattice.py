@@ -61,9 +61,6 @@ def iter_points(shape: Shape, n: int) -> Iterator[Point]:
     if n < 0:
         raise ValueError("dilation level must be nonnegative")
     factors = [_factor_points(p, n) for p in shape.parts]
-    if not factors:
-        yield ()
-        return
     yield from itertools.product(*factors)
 
 

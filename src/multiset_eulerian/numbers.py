@@ -5,11 +5,6 @@ statistic enumeration, a closed formula, and (for the integer rows) a
 triangular solve against dilation point counts.  The verification layer
 exercises exactly this redundancy, so nothing here is allowed to share
 code between routes.
-
-Row conventions: Eulerian rows are indexed by descent count i = 0..d-1
-and always have length d, keeping structural zero tails so that row
-shapes are stable.  Partition rows are indexed by block count k = 1..d.
-The q-polynomial families are indexed 1..d as well.
 """
 
 from __future__ import annotations
@@ -30,57 +25,36 @@ from .qpoly import QPolynomial, binomial, multinomial, q_binomial
 
 
 @dataclass(frozen=True)
-class EulerianRow:
-    """Counts of permutations by descent number, indices i = 0..d-1."""
+class Row:
+    """One row of a shape's numbers, with the index of its first entry.
+
+    Eulerian rows are indexed by descent count i = 0..d-1 and always have
+    length d, keeping structural zero tails so that row shapes are stable.
+    Ordered Stirling and Lah rows are indexed by block count k = 1..d, and
+    the q-polynomial families by 1..d as well.
+    """
 
     shape: Shape
-    values: tuple[int, ...]
+    start: int
+    values: tuple["int | QPolynomial", ...]
 
-    def value(self, i: int) -> int:
-        return self.values[i]
-
-
-@dataclass(frozen=True)
-class StirlingRow:
-    """Ordered partition counts by block number, indices k = 1..d."""
-
-    shape: Shape
-    kind: str  # "second-ordered" or "third-ordered"
-    values: tuple[int, ...]
-
-    def value(self, k: int) -> int:
-        return self.values[k - 1]
+    def value(self, i: int) -> "int | QPolynomial":
+        if not 0 <= i - self.start < len(self.values):
+            last = self.start + len(self.values) - 1
+            raise IndexError(f"index {i} outside {self.start}..{last}")
+        return self.values[i - self.start]
 
 
-@dataclass(frozen=True)
-class QPolyFamily:
-    """A row of q-polynomials indexed 1..d."""
-
-    shape: Shape
-    family: str  # "A", "B" or "C"
-    values: tuple[QPolynomial, ...]
-
-    def value(self, i: int) -> QPolynomial:
-        return self.values[i - 1]
-
-
-def _require_nonempty(shape: Shape) -> None:
-    if shape.size == 0:
-        raise ValueError("operation requires a shape with d >= 1")
-
-
-def eulerian_row_enum(shape: Shape) -> EulerianRow:
+def eulerian_row_enum(shape: Shape) -> Row:
     """Count permutations by number of descents, by full enumeration."""
-    _require_nonempty(shape)
     values = [0] * shape.size
     for word in iter_permutations(shape):
         values[len(descent_set(word))] += 1
-    return EulerianRow(shape, tuple(values))
+    return Row(shape, 0, tuple(values))
 
 
 def eulerian_closed(shape: Shape, i: int) -> int:
     """Alternating-sum closed form for the descent-count row entry."""
-    _require_nonempty(shape)
     d = shape.size
     if not 0 <= i <= d - 1:
         raise ValueError(f"descent index {i} outside 0..{d - 1}")
@@ -90,21 +64,17 @@ def eulerian_closed(shape: Shape, i: int) -> int:
     )
 
 
-def eulerian_row_closed(shape: Shape) -> EulerianRow:
-    _require_nonempty(shape)
-    return EulerianRow(
-        shape, tuple(eulerian_closed(shape, i) for i in range(shape.size))
-    )
+def eulerian_row_closed(shape: Shape) -> Row:
+    return Row(shape, 0, tuple(eulerian_closed(shape, i) for i in range(shape.size)))
 
 
-def stirling2_row_enum(shape: Shape) -> StirlingRow:
+def stirling2_row_enum(shape: Shape) -> Row:
     """Count ordered multiset partitions per block number by enumerating
     the corresponding chains."""
-    _require_nonempty(shape)
     values = [
         sum(1 for _ in iter_chains(shape, k)) for k in range(1, shape.size + 1)
     ]
-    return StirlingRow(shape, "second-ordered", tuple(values))
+    return Row(shape, 1, tuple(values))
 
 
 def stirling2_closed(shape: Shape, k: int, variant: str = "corrected") -> int:
@@ -116,7 +86,6 @@ def stirling2_closed(shape: Shape, k: int, variant: str = "corrected") -> int:
     not agree.  Both are exposed so the disagreement stays reproducible
     (for shape (1,1), k = 2 they give 2 and 7 respectively).
     """
-    _require_nonempty(shape)
     d = shape.size
     if not 1 <= k <= d:
         raise ValueError(f"block count {k} outside 1..{d}")
@@ -132,11 +101,10 @@ def stirling2_closed(shape: Shape, k: int, variant: str = "corrected") -> int:
     )
 
 
-def stirling2_row_closed(shape: Shape, variant: str = "corrected") -> StirlingRow:
-    _require_nonempty(shape)
-    return StirlingRow(
+def stirling2_row_closed(shape: Shape, variant: str = "corrected") -> Row:
+    return Row(
         shape,
-        "second-ordered",
+        1,
         tuple(
             stirling2_closed(shape, k, variant) for k in range(1, shape.size + 1)
         ),
@@ -146,30 +114,25 @@ def stirling2_row_closed(shape: Shape, variant: str = "corrected") -> StirlingRo
 def lah_ordered(shape: Shape, k: int) -> int:
     """Number of (permutation, k-segment split) pairs: the ordered
     analog of the third-kind numbers."""
-    _require_nonempty(shape)
     d = shape.size
     if not 1 <= k <= d:
         raise ValueError(f"block count {k} outside 1..{d}")
     return multinomial(shape.parts) * binomial(d - 1, k - 1)
 
 
-def lah_row(shape: Shape) -> StirlingRow:
-    _require_nonempty(shape)
-    return StirlingRow(
-        shape,
-        "third-ordered",
-        tuple(lah_ordered(shape, k) for k in range(1, shape.size + 1)),
+def lah_row(shape: Shape) -> Row:
+    return Row(
+        shape, 1, tuple(lah_ordered(shape, k) for k in range(1, shape.size + 1))
     )
 
 
-def a_polynomials(shape: Shape) -> QPolyFamily:
+def a_polynomials(shape: Shape) -> Row:
     """Major-index generating polynomials grouped by descent count.
 
     Index i = 1..d collects the permutations with exactly d - i
     descents, so evaluating at q = 1 recovers the descent-count row read
     backwards.
     """
-    _require_nonempty(shape)
     d = shape.size
     tallies: list[dict[int, int]] = [{} for _ in range(d)]
     for word in iter_permutations(shape):
@@ -177,19 +140,16 @@ def a_polynomials(shape: Shape) -> QPolyFamily:
         bucket = tallies[d - len(ds) - 1]
         maj = sum(ds)
         bucket[maj] = bucket.get(maj, 0) + 1
-    return QPolyFamily(
-        shape, "A", tuple(QPolynomial.from_exponent_counts(t) for t in tallies)
-    )
+    return Row(shape, 1, tuple(QPolynomial.from_exponent_counts(t) for t in tallies))
 
 
-def b_polynomials(shape: Shape) -> QPolyFamily:
+def b_polynomials(shape: Shape) -> Row:
     """Major-index generating polynomials of chains, by dimension k.
 
     The major index of a chain is the sum of its internal vertex
     coordinate totals; at q = 1 each polynomial reduces to the ordered
     partition count.
     """
-    _require_nonempty(shape)
     d = shape.size
     values = []
     for k in range(1, d + 1):
@@ -198,10 +158,10 @@ def b_polynomials(shape: Shape) -> QPolyFamily:
             maj = chain_major_index(chain)
             tally[maj] = tally.get(maj, 0) + 1
         values.append(QPolynomial.from_exponent_counts(tally))
-    return QPolyFamily(shape, "B", tuple(values))
+    return Row(shape, 1, tuple(values))
 
 
-def c_polynomials(shape: Shape, method: str = "enumeration") -> QPolyFamily:
+def c_polynomials(shape: Shape, method: str = "enumeration") -> Row:
     """Joint major-index polynomials of (permutation, cut-chain) pairs.
 
     The enumeration route walks every permutation and every way of
@@ -213,13 +173,12 @@ def c_polynomials(shape: Shape, method: str = "enumeration") -> QPolyFamily:
     because the major index of a cut chain equals the sum of its cut
     positions.
     """
-    _require_nonempty(shape)
     d = shape.size
     if method == "closed":
         mult = multinomial(shape.parts)
-        return QPolyFamily(
+        return Row(
             shape,
-            "C",
+            1,
             tuple(
                 q_binomial(d - 1, k - 1).shift(k * (k - 1) // 2) * mult
                 for k in range(1, d + 1)
@@ -240,19 +199,16 @@ def c_polynomials(shape: Shape, method: str = "enumeration") -> QPolyFamily:
                 for c in cuts:
                     maj += totals[c]
                 bucket[maj] = bucket.get(maj, 0) + 1
-    return QPolyFamily(
-        shape, "C", tuple(QPolynomial.from_exponent_counts(t) for t in tallies)
-    )
+    return Row(shape, 1, tuple(QPolynomial.from_exponent_counts(t) for t in tallies))
 
 
-def solve_from_identity(kind: str, shape: Shape) -> EulerianRow | StirlingRow:
+def solve_from_identity(kind: str, shape: Shape) -> Row:
     """Recover a row by forward substitution on its defining identity.
 
     The right-hand sides are the dilation point counts at n = 0..d-1.
     Both systems are unit lower triangular, so the solve is exact
     integer forward substitution with no division.
     """
-    _require_nonempty(shape)
     d = shape.size
     rhs = [point_count(shape, n) for n in range(d)]
     if kind == "eulerian":
@@ -262,7 +218,7 @@ def solve_from_identity(kind: str, shape: Shape) -> EulerianRow | StirlingRow:
             row.append(
                 rhs[n] - sum(row[i] * binomial(n - i + d, d) for i in range(n))
             )
-        return EulerianRow(shape, tuple(row))
+        return Row(shape, 0, tuple(row))
     if kind == "stirling2":
         row = []
         for n in range(d):
@@ -271,5 +227,5 @@ def solve_from_identity(kind: str, shape: Shape) -> EulerianRow | StirlingRow:
                 rhs[n]
                 - sum(row[k - 1] * binomial(n + 1, k) for k in range(1, n + 1))
             )
-        return StirlingRow(shape, "second-ordered", tuple(row))
+        return Row(shape, 1, tuple(row))
     raise ValueError(f"unknown kind {kind!r}")

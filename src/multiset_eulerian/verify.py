@@ -165,7 +165,13 @@ class IdentityReport:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return json_line(self.to_json_dict())
+
+
+def json_line(doc: dict) -> str:
+    """`doc` in the report stream's compact JSON-lines form, without the
+    newline."""
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def _encode(value: "int | QPolynomial") -> "str | list[str]":
@@ -344,17 +350,11 @@ _CHECKERS = {
 }
 
 
-def _require_positive_size(shape: Shape) -> None:
-    if shape.size == 0:
-        raise ValueError("identity checks require a shape with d >= 1")
-
-
 def check_identity(
     identity: "IdentityId | str", shape: Shape, n_max: int
 ) -> IdentityReport:
     """Compute both sides for n = 0..n_max and report the exact results."""
     identity = IdentityId(identity)
-    _require_positive_size(shape)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     records = _CHECKERS[identity](shape, n_max)
@@ -376,9 +376,8 @@ def suite_jobs(
     shapes ordered by size, then part count, then lexicographically.
 
     Selections that would check nothing or an invalid level (n_max < 0,
-    d_max < 1, l_max < 1, no identity, no shape, a shape with d = 0) and
-    unknown identity names raise ValueError instead of giving an empty or
-    failing run.
+    d_max < 1, l_max < 1, no identity, no shape) and unknown identity
+    names raise ValueError instead of giving an empty or failing run.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -401,8 +400,6 @@ def suite_jobs(
         shape_list = list(shapes)
         if not shape_list:
             raise ValueError("no shape selected")
-        for shape in shape_list:
-            _require_positive_size(shape)
     return [(i, s, n_max) for i in selected for s in shape_list]
 
 

@@ -33,13 +33,21 @@ from oracles import (
 class TestShape:
     def test_zero_parts_dropped(self):
         assert Shape((2, 0, 1)).parts == (2, 1)
-        assert Shape((0, 0)).parts == ()
 
     def test_size_and_letters(self):
         s = Shape((2, 1))
         assert s.size == 3
         assert s.letters == 2
-        assert Shape(()).size == 0
+
+    def test_empty_shape_rejected(self):
+        for build in (
+            lambda: Shape(()),
+            lambda: Shape((0, 0)),
+            lambda: Shape.parse("0"),
+            lambda: Shape.parse("0,0"),
+        ):
+            with pytest.raises(ValueError, match="d >= 1"):
+                build()
 
     def test_parse_and_str(self):
         assert Shape.parse("2,1") == Shape((2, 1))
@@ -62,7 +70,6 @@ class TestPermutations:
             (2, 1, 1),
         ]
         assert list(iter_permutations(Shape((3,)))) == [(1, 1, 1)]
-        assert list(iter_permutations(Shape(()))) == [()]
 
     def test_matches_dedup_oracle(self):
         for shape in iter_shapes(6):
@@ -102,8 +109,6 @@ class TestChains:
     def test_out_of_range_k(self):
         assert list(iter_chains(Shape((2, 1)), 0)) == []
         assert list(iter_chains(Shape((2, 1)), 4)) == []
-        assert list(iter_chains(Shape(()), 0)) == [((),)]
-        assert list(iter_chains(Shape(()), 1)) == []
 
     def test_lexicographic_order(self):
         for shape in (Shape((2, 1)), Shape((2, 2)), Shape((1, 1, 1))):
@@ -124,9 +129,8 @@ class TestChains:
                 assert list(iter_chains(shape, k)) == expected
 
     def test_matches_recursive_reference(self):
-        # same chains in the same order, out-of-range k and d = 0 included
-        shapes = [Shape(())] + list(iter_shapes(7))
-        for shape in shapes:
+        # same chains in the same order, out-of-range k included
+        for shape in iter_shapes(7):
             for k in range(shape.size + 2):
                 expected = list(recursive_chains(shape, k))
                 assert list(iter_chains(shape, k)) == expected, (shape, k)

@@ -28,6 +28,27 @@ from oracles import (
 )
 
 
+def test_row_first_index():
+    # Eulerian rows start at descent count 0; partition rows and the
+    # q-families at block count 1
+    shape = Shape((2, 1))
+    rows = {
+        0: (eulerian_row_enum, eulerian_row_closed),
+        1: (stirling2_row_enum, stirling2_row_closed, lah_row, a_polynomials),
+    }
+    for start, functions in rows.items():
+        for function in functions:
+            row = function(shape)
+            assert row.start == start
+            assert [row.value(i) for i in range(start, start + 3)] == list(row.values)
+            # an index outside the row never wraps around to its other end
+            for outside in (start - 1, start + 3):
+                with pytest.raises(IndexError):
+                    row.value(outside)
+    assert stirling2_row_enum(shape).value(2) == 4
+    assert eulerian_row_enum(shape).value(1) == 2
+
+
 class TestEulerianRows:
     def test_frozen_rows(self):
         assert eulerian_row_enum(Shape((2, 1))).values == (1, 2, 0)
