@@ -42,7 +42,7 @@ from .lattice import classify_first, classify_second, validate_point
 from .numbers import (
     a_polynomials,
     b_polynomials,
-    c_polynomials,
+    c_polynomials_closed,
     eulerian_row_closed,
     lah_row,
     stirling2_row_closed,
@@ -61,7 +61,7 @@ _ROWS = {
 _FAMILIES = {
     "A": a_polynomials,
     "B": b_polynomials,
-    "C": lambda shape: c_polynomials(shape, method="closed"),
+    "C": c_polynomials_closed,
 }
 
 

@@ -1,10 +1,13 @@
 """Integer rows and q-polynomial families attached to a multiset shape.
 
-Each quantity is computable by at least two independent routes: direct
-statistic enumeration, a closed formula, and (for the integer rows) a
-triangular solve against dilation point counts.  The verification layer
-exercises exactly this redundancy, so nothing here is allowed to share
-code between routes.
+Each quantity is computable by at least two independent routes, and each
+route is one function named `<row>_<route>`: enumeration of the
+statistic (`eulerian_row_enum`, `stirling2_row_enum`, `a_polynomials`,
+`b_polynomials`, `c_polynomials`), a closed formula
+(`eulerian_row_closed`, `stirling2_row_closed`, `lah_row`,
+`c_polynomials_closed`), and a triangular solve against dilation point
+counts (`eulerian_row_solve`, `stirling2_row_solve`).  The verification
+layer exercises exactly this redundancy, so no two routes share code.
 """
 
 from __future__ import annotations
@@ -53,19 +56,38 @@ def eulerian_row_enum(shape: Shape) -> Row:
     return Row(shape, 0, tuple(values))
 
 
-def eulerian_closed(shape: Shape, i: int) -> int:
-    """Alternating-sum closed form for the descent-count row entry."""
+def eulerian_row_closed(shape: Shape) -> Row:
+    """Alternating-sum closed form of the descent-count row."""
     d = shape.size
-    if not 0 <= i <= d - 1:
-        raise ValueError(f"descent index {i} outside 0..{d - 1}")
-    return sum(
-        (-1) ** (i - h) * binomial(d + 1, i - h) * point_count(shape, h)
-        for h in range(i + 1)
+    counts = [point_count(shape, h) for h in range(d)]
+    return Row(
+        shape,
+        0,
+        tuple(
+            sum(
+                (-1) ** (i - h) * binomial(d + 1, i - h) * counts[h]
+                for h in range(i + 1)
+            )
+            for i in range(d)
+        ),
     )
 
 
-def eulerian_row_closed(shape: Shape) -> Row:
-    return Row(shape, 0, tuple(eulerian_closed(shape, i) for i in range(shape.size)))
+def eulerian_row_solve(shape: Shape) -> Row:
+    """Recover the descent-count row by forward substitution on Worpitzky's
+    identity, whose right-hand sides are the point counts at n = 0..d-1.
+
+    The system is unit lower triangular (diagonal C(d, d) = 1), so the
+    solve is exact integer arithmetic with no division.
+    """
+    d = shape.size
+    row: list[int] = []
+    for n in range(d):
+        row.append(
+            point_count(shape, n)
+            - sum(row[i] * binomial(n - i + d, d) for i in range(n))
+        )
+    return Row(shape, 0, tuple(row))
 
 
 def stirling2_row_enum(shape: Shape) -> Row:
@@ -77,8 +99,8 @@ def stirling2_row_enum(shape: Shape) -> Row:
     return Row(shape, 1, tuple(values))
 
 
-def stirling2_closed(shape: Shape, k: int, variant: str = "corrected") -> int:
-    """Closed form for the k-block ordered partition count.
+def stirling2_row_closed(shape: Shape, variant: str = "corrected") -> Row:
+    """Closed form of the ordered partition row, by block count k.
 
     The two variants differ in one binomial index: "corrected" uses
     C(k, h+1), which is what the triangular system actually inverts to
@@ -86,44 +108,50 @@ def stirling2_closed(shape: Shape, k: int, variant: str = "corrected") -> int:
     not agree.  Both are exposed so the disagreement stays reproducible
     (for shape (1,1), k = 2 they give 2 and 7 respectively).
     """
-    d = shape.size
-    if not 1 <= k <= d:
-        raise ValueError(f"block count {k} outside 1..{d}")
     if variant == "corrected":
         offset = 1
     elif variant == "as-printed":
         offset = 0
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return sum(
-        (-1) ** (k - 1 - h) * binomial(k, h + offset) * point_count(shape, h)
-        for h in range(k)
-    )
-
-
-def stirling2_row_closed(shape: Shape, variant: str = "corrected") -> Row:
+    d = shape.size
+    counts = [point_count(shape, h) for h in range(d)]
     return Row(
         shape,
         1,
         tuple(
-            stirling2_closed(shape, k, variant) for k in range(1, shape.size + 1)
+            sum(
+                (-1) ** (k - 1 - h) * binomial(k, h + offset) * counts[h]
+                for h in range(k)
+            )
+            for k in range(1, d + 1)
         ),
     )
 
 
-def lah_ordered(shape: Shape, k: int) -> int:
-    """Number of (permutation, k-segment split) pairs: the ordered
-    analog of the third-kind numbers."""
-    d = shape.size
-    if not 1 <= k <= d:
-        raise ValueError(f"block count {k} outside 1..{d}")
-    return multinomial(shape.parts) * binomial(d - 1, k - 1)
+def stirling2_row_solve(shape: Shape) -> Row:
+    """Recover the ordered partition row by forward substitution on
+    point_count(shape, n) = sum over k of row[k] * C(n + 1, k), n = 0..d-1.
+
+    The system is unit lower triangular (diagonal C(n+1, n+1) = 1), so
+    the solve is exact integer arithmetic with no division.
+    """
+    row: list[int] = []
+    for n in range(shape.size):
+        row.append(
+            point_count(shape, n)
+            - sum(row[k - 1] * binomial(n + 1, k) for k in range(1, n + 1))
+        )
+    return Row(shape, 1, tuple(row))
 
 
 def lah_row(shape: Shape) -> Row:
-    return Row(
-        shape, 1, tuple(lah_ordered(shape, k) for k in range(1, shape.size + 1))
-    )
+    """Number of (permutation, k-segment split) pairs by k: the ordered
+    analog of the third-kind numbers, in closed form."""
+    d = shape.size
+    mult = multinomial(shape.parts)
+    values = tuple(mult * binomial(d - 1, k - 1) for k in range(1, d + 1))
+    return Row(shape, 1, values)
 
 
 def a_polynomials(shape: Shape) -> Row:
@@ -161,31 +189,16 @@ def b_polynomials(shape: Shape) -> Row:
     return Row(shape, 1, tuple(values))
 
 
-def c_polynomials(shape: Shape, method: str = "enumeration") -> Row:
-    """Joint major-index polynomials of (permutation, cut-chain) pairs.
+def c_polynomials(shape: Shape) -> Row:
+    """Joint major-index polynomials of (permutation, cut-chain) pairs,
+    by enumeration.
 
-    The enumeration route walks every permutation and every way of
-    cutting it into k contiguous nonempty segments.  The cut chain's
-    internal vertices are the word's prefix contents at the cuts, so its
-    major index is read by summing those vertices' coordinate totals,
-    computed once per word.  The closed route is the
-    multinomial times a shifted Gaussian binomial.  The two agree
-    because the major index of a cut chain equals the sum of its cut
-    positions.
+    Walks every permutation and every way of cutting it into k contiguous
+    nonempty segments.  The cut chain's internal vertices are the word's
+    prefix contents at the cuts, so its major index is read by summing
+    those vertices' coordinate totals, computed once per word.
     """
     d = shape.size
-    if method == "closed":
-        mult = multinomial(shape.parts)
-        return Row(
-            shape,
-            1,
-            tuple(
-                q_binomial(d - 1, k - 1).shift(k * (k - 1) // 2) * mult
-                for k in range(1, d + 1)
-            ),
-        )
-    if method != "enumeration":
-        raise ValueError(f"unknown method {method!r}")
     tallies: list[dict[int, int]] = [{} for _ in range(d)]
     # cut sets for k = 1..d, as indices 0..d-2 of the internal prefixes
     cut_sets = [
@@ -202,30 +215,17 @@ def c_polynomials(shape: Shape, method: str = "enumeration") -> Row:
     return Row(shape, 1, tuple(QPolynomial.from_exponent_counts(t) for t in tallies))
 
 
-def solve_from_identity(kind: str, shape: Shape) -> Row:
-    """Recover a row by forward substitution on its defining identity.
-
-    The right-hand sides are the dilation point counts at n = 0..d-1.
-    Both systems are unit lower triangular, so the solve is exact
-    integer forward substitution with no division.
-    """
+def c_polynomials_closed(shape: Shape) -> Row:
+    """Closed form of `c_polynomials`: the multinomial times a shifted
+    Gaussian binomial.  The two agree because the major index of a cut
+    chain equals the sum of its cut positions."""
     d = shape.size
-    rhs = [point_count(shape, n) for n in range(d)]
-    if kind == "eulerian":
-        row: list[int] = []
-        for n in range(d):
-            # diagonal coefficient C(d, d) = 1
-            row.append(
-                rhs[n] - sum(row[i] * binomial(n - i + d, d) for i in range(n))
-            )
-        return Row(shape, 0, tuple(row))
-    if kind == "stirling2":
-        row = []
-        for n in range(d):
-            # diagonal coefficient C(n+1, n+1) = 1
-            row.append(
-                rhs[n]
-                - sum(row[k - 1] * binomial(n + 1, k) for k in range(1, n + 1))
-            )
-        return Row(shape, 1, tuple(row))
-    raise ValueError(f"unknown kind {kind!r}")
+    mult = multinomial(shape.parts)
+    return Row(
+        shape,
+        1,
+        tuple(
+            q_binomial(d - 1, k - 1).shift(k * (k - 1) // 2) * mult
+            for k in range(1, d + 1)
+        ),
+    )

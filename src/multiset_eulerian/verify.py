@@ -237,50 +237,17 @@ def _prepare_chain_q(shape: Shape) -> Level:
     return level
 
 
-def _prepare_decomposition(kind: str, shape: Shape) -> Level:
-    """Fiber table of one decomposition job, and its level function.
+def _fiber_level(shape: Shape, classify: Callable, classes: Callable) -> Level:
+    """Level function of a decomposition oracle.
 
-    The words (first kind) or chains (second kind) are enumerated once
-    per job and grouped into classes that share their closed values:
-    words by (descent count, major index), on which `region_point_count`
-    and `region_gf` depend, and chains by block sizes, on which
-    `chain_weight_sum` depends.  Each level classifies every lattice
-    point, takes the closed count and q-weight once per class, and
-    compares every member's fiber with them.
+    Each level classifies every lattice point with `classify(n)`, and
+    `classes(n)` yields each class of words or chains with the closed
+    count and q-weight that all its members share; every member's fiber
+    is compared with them.
     """
-    if kind == "first":
-        words: dict[tuple[int, int], list] = {}
-        for word in iter_permutations(shape):
-            ds = descent_set(word)
-            words.setdefault((len(ds), sum(ds)), []).append(word)
-
-        def classes(n: int):
-            for members in words.values():
-                rep = members[0]
-                yield members, region_point_count(rep, n), region_gf(rep, n)
-
-    else:
-        # by_k[k] lists the classes of k-block chains, enumerated when a
-        # level first needs them
-        by_k: list[list[list]] = [[]]
-
-        def classes(n: int):
-            # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
-            # points and weight zero.  Those chains are not visited; a point
-            # classified into one stays in `fibers` and fails the record.
-            for k in range(1, min(shape.size, n + 1) + 1):
-                if k == len(by_k):
-                    groups: dict[tuple[int, ...], list] = {}
-                    for chain in iter_chains(shape, k):
-                        sizes = chain_block_sizes(chain)
-                        groups.setdefault(sizes, []).append(chain)
-                    by_k.append(list(groups.values()))
-                for members in by_k[k]:
-                    weight = chain_weight_sum(members[0], n)
-                    yield members, chain_region_count(k, n), weight
 
     def level(n: int) -> CheckRecord:
-        total, fibers = classify_points(kind, shape, n)
+        total, fibers = classify(n)
         expected_total = point_count(shape, n)
         ok = total == expected_total
         for members, count, weight in classes(n):
@@ -299,15 +266,46 @@ def _prepare_decomposition(kind: str, shape: Shape) -> Level:
     return level
 
 
-def check_decomposition(kind: str, shape: Shape, n: int) -> IdentityReport:
-    """Run one decomposition oracle at a single dilation level."""
-    if kind not in ("first", "second"):
-        raise ValueError(f"unknown decomposition kind {kind!r}")
-    identity = (
-        IdentityId.DECOMP_FIRST if kind == "first" else IdentityId.DECOMP_SECOND
-    )
-    record = _prepare_decomposition(kind, shape)(n)
-    return IdentityReport(identity, shape, (record,))
+def _prepare_decomp_first(shape: Shape) -> Level:
+    """Fiber table of a first-kind job: the words, enumerated once and
+    grouped by (descent count, major index), on which `region_point_count`
+    and `region_gf` depend."""
+    words: dict[tuple[int, int], list] = {}
+    for word in iter_permutations(shape):
+        ds = descent_set(word)
+        words.setdefault((len(ds), sum(ds)), []).append(word)
+
+    def classes(n: int):
+        for members in words.values():
+            rep = members[0]
+            yield members, region_point_count(rep, n), region_gf(rep, n)
+
+    return _fiber_level(shape, partial(classify_points, "first", shape), classes)
+
+
+def _prepare_decomp_second(shape: Shape) -> Level:
+    """Fiber table of a second-kind job: the chains, grouped by block
+    sizes, on which `chain_weight_sum` depends."""
+    # by_k[k] lists the classes of k-block chains, enumerated when a
+    # level first needs them
+    by_k: list[list[list]] = [[]]
+
+    def classes(n: int):
+        # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
+        # points and weight zero.  Those chains are not visited; a point
+        # classified into one stays in `fibers` and fails the record.
+        for k in range(1, min(shape.size, n + 1) + 1):
+            if k == len(by_k):
+                groups: dict[tuple[int, ...], list] = {}
+                for chain in iter_chains(shape, k):
+                    sizes = chain_block_sizes(chain)
+                    groups.setdefault(sizes, []).append(chain)
+                by_k.append(list(groups.values()))
+            for members in by_k[k]:
+                weight = chain_weight_sum(members[0], n)
+                yield members, chain_region_count(k, n), weight
+
+    return _fiber_level(shape, partial(classify_points, "second", shape), classes)
 
 
 # The lambdas look names up in this module's globals when they run, not
@@ -341,12 +339,12 @@ _CHECKERS = {
     ),
     IdentityId.LAH_Q: _expansion(
         lambda s, n: f2(s, n),
-        lambda s: c_polynomials(s, method="enumeration").values,
+        lambda s: c_polynomials(s).values,
         lambda d, n, k: q_binomial(n + 1, k),
     ),
     IdentityId.CHAIN_Q_CORRECTED: _checker(_prepare_chain_q),
-    IdentityId.DECOMP_FIRST: _checker(partial(_prepare_decomposition, "first")),
-    IdentityId.DECOMP_SECOND: _checker(partial(_prepare_decomposition, "second")),
+    IdentityId.DECOMP_FIRST: _checker(_prepare_decomp_first),
+    IdentityId.DECOMP_SECOND: _checker(_prepare_decomp_second),
 }
 
 

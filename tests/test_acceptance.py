@@ -14,16 +14,16 @@ from multiset_eulerian.numbers import (
     a_polynomials,
     b_polynomials,
     c_polynomials,
+    c_polynomials_closed,
     eulerian_row_closed,
     eulerian_row_enum,
-    lah_ordered,
+    eulerian_row_solve,
     lah_row,
-    solve_from_identity,
-    stirling2_closed,
     stirling2_row_closed,
     stirling2_row_enum,
+    stirling2_row_solve,
 )
-from multiset_eulerian.verify import check_decomposition, check_identity
+from multiset_eulerian.verify import IdentityId, check_identity
 from oracles import f2_enumerated, stirling_second
 
 
@@ -39,7 +39,7 @@ def test_01_classical_reduction():
         row = stirling2_row_enum(Shape((1,) * l))
         for k in range(1, l + 1):
             ok = ok and row.value(k) == math.factorial(k) * stirling_second(l, k)
-    ok = ok and lah_ordered(Shape((1, 1, 1)), 2) == 12
+    ok = ok and lah_row(Shape((1, 1, 1))).value(2) == 12
     ok = ok and stirling2_row_enum(Shape((1, 1, 1))).value(2) == 6
     ok = ok and 12 == 6 * math.factorial(2)
     _report(1, "classical-reduction", ok)
@@ -50,19 +50,19 @@ def test_02_triple_agreement():
     for shape in iter_shapes(8, 4):
         enum = eulerian_row_enum(shape).values
         ok = ok and eulerian_row_closed(shape).values == enum
-        ok = ok and solve_from_identity("eulerian", shape).values == enum
+        ok = ok and eulerian_row_solve(shape).values == enum
         senum = stirling2_row_enum(shape).values
         ok = ok and stirling2_row_closed(shape).values == senum
-        ok = ok and solve_from_identity("stirling2", shape).values == senum
+        ok = ok and stirling2_row_solve(shape).values == senum
         if not ok:
             break
     _report(2, "triple-agreement", ok)
 
 
 def test_03_closed_variant_discrepancy():
-    ok = stirling2_closed(Shape((1, 1)), 2, "as-printed") == 7
+    ok = stirling2_row_closed(Shape((1, 1)), "as-printed").value(2) == 7
     ok = ok and stirling2_row_enum(Shape((1, 1))).value(2) == 2
-    ok = ok and stirling2_closed(Shape((2, 1)), 2, "as-printed") == 11
+    ok = ok and stirling2_row_closed(Shape((2, 1)), "as-printed").value(2) == 11
     ok = ok and stirling2_row_enum(Shape((2, 1))).value(2) == 4
     _report(3, "closed-variant-discrepancy", ok)
 
@@ -94,9 +94,8 @@ def test_05_q_eulerian_identity_suite():
 def test_06_decomposition_oracles():
     ok = True
     for shape in iter_shapes(6):
-        for n in range(7):
-            ok = ok and check_decomposition("first", shape, n).passed
-            ok = ok and check_decomposition("second", shape, n).passed
+        ok = ok and check_identity(IdentityId.DECOMP_FIRST, shape, 6).passed
+        ok = ok and check_identity(IdentityId.DECOMP_SECOND, shape, 6).passed
         if not ok:
             break
     _report(6, "decomposition-oracles", ok)
@@ -151,10 +150,7 @@ def test_09_q_family_consistency():
         if not ok:
             break
     for shape in iter_shapes(7):
-        ok = ok and (
-            c_polynomials(shape, method="enumeration").values
-            == c_polynomials(shape, method="closed").values
-        )
+        ok = ok and c_polynomials(shape).values == c_polynomials_closed(shape).values
         if not ok:
             break
     _report(9, "q-family-consistency", ok)

@@ -107,13 +107,13 @@ class TestClassifyFirst:
                 assert not tallies
 
     def test_membership_agrees(self):
-        shape = Shape((2, 1))
-        n = 3
-        words = list(iter_permutations(shape))
-        for point in iter_points(shape, n):
-            word = classify_first(point)
-            assert in_region(point, word, n)
-            assert sum(1 for w in words if in_region(point, w, n)) == 1
+        for shape in iter_shapes(4):
+            words = list(iter_permutations(shape))
+            for n in range(4):
+                for point in iter_points(shape, n):
+                    word = classify_first(point)
+                    assert in_region(point, word, n)
+                    assert sum(1 for w in words if in_region(point, w, n)) == 1
 
 
 class TestClassifySecond:

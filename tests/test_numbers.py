@@ -7,15 +7,14 @@ from multiset_eulerian.numbers import (
     a_polynomials,
     b_polynomials,
     c_polynomials,
-    eulerian_closed,
+    c_polynomials_closed,
     eulerian_row_closed,
     eulerian_row_enum,
-    lah_ordered,
+    eulerian_row_solve,
     lah_row,
-    solve_from_identity,
-    stirling2_closed,
     stirling2_row_closed,
     stirling2_row_enum,
+    stirling2_row_solve,
 )
 from multiset_eulerian.qpoly import QPolynomial, multinomial
 from oracles import (
@@ -33,8 +32,17 @@ def test_row_first_index():
     # q-families at block count 1
     shape = Shape((2, 1))
     rows = {
-        0: (eulerian_row_enum, eulerian_row_closed),
-        1: (stirling2_row_enum, stirling2_row_closed, lah_row, a_polynomials),
+        0: (eulerian_row_enum, eulerian_row_closed, eulerian_row_solve),
+        1: (
+            stirling2_row_enum,
+            stirling2_row_closed,
+            stirling2_row_solve,
+            lah_row,
+            a_polynomials,
+            b_polynomials,
+            c_polynomials,
+            c_polynomials_closed,
+        ),
     }
     for start, functions in rows.items():
         for function in functions:
@@ -71,20 +79,20 @@ class TestEulerianRows:
             assert all(v >= 0 for v in row.values)
 
     def test_closed_examples(self):
-        assert eulerian_closed(Shape((1, 1, 1)), 1) == 4
-        assert eulerian_closed(Shape((2, 1)), 1) == 2
+        assert eulerian_row_closed(Shape((1, 1, 1))).value(1) == 4
+        assert eulerian_row_closed(Shape((2, 1))).value(1) == 2
         for shape in iter_shapes(6):
-            assert eulerian_closed(shape, 0) == 1
+            assert eulerian_row_closed(shape).value(0) == 1
 
     def test_closed_matches_enum(self):
         for shape in iter_shapes(6):
             assert eulerian_row_closed(shape).values == eulerian_row_enum(shape).values
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            eulerian_closed(Shape((2, 1)), 3)
-        with pytest.raises(ValueError):
-            eulerian_closed(Shape((2, 1)), -1)
+        with pytest.raises(IndexError):
+            eulerian_row_closed(Shape((2, 1))).value(3)
+        with pytest.raises(IndexError):
+            eulerian_row_closed(Shape((2, 1))).value(-1)
         with pytest.raises(ValueError):
             eulerian_row_enum(Shape(()))
 
@@ -112,10 +120,10 @@ class TestStirlingRows:
             )
 
     def test_as_printed_discrepancy(self):
-        assert stirling2_closed(Shape((1, 1)), 2, "as-printed") == 7
-        assert stirling2_closed(Shape((1, 1)), 2, "corrected") == 2
-        assert stirling2_closed(Shape((2, 1)), 2, "as-printed") == 11
-        assert stirling2_closed(Shape((2, 1)), 2, "corrected") == 4
+        assert stirling2_row_closed(Shape((1, 1)), "as-printed").value(2) == 7
+        assert stirling2_row_closed(Shape((1, 1)), "corrected").value(2) == 2
+        assert stirling2_row_closed(Shape((2, 1)), "as-printed").value(2) == 11
+        assert stirling2_row_closed(Shape((2, 1)), "corrected").value(2) == 4
 
     def test_row_matches_partition_oracle(self):
         for shape in iter_shapes(5):
@@ -124,27 +132,28 @@ class TestStirlingRows:
                 assert row.value(k) == ordered_partition_count(shape.parts, k)
 
     def test_validation(self):
+        with pytest.raises(IndexError):
+            stirling2_row_closed(Shape((2, 1))).value(0)
         with pytest.raises(ValueError):
-            stirling2_closed(Shape((2, 1)), 0)
-        with pytest.raises(ValueError):
-            stirling2_closed(Shape((2, 1)), 2, "mystery")
+            stirling2_row_closed(Shape((2, 1)), "mystery")
 
 
 class TestLahRows:
     def test_frozen_values(self):
-        assert lah_ordered(Shape((1, 1, 1)), 2) == 12
-        assert lah_ordered(Shape((2, 1)), 2) == 6
+        assert lah_row(Shape((1, 1, 1))).value(2) == 12
+        assert lah_row(Shape((2, 1))).value(2) == 6
         assert lah_row(Shape((2, 1))).values == (3, 6, 3)
 
     def test_counts_cut_pairs(self):
         for shape in iter_shapes(5):
+            row = lah_row(shape)
             for k in range(1, shape.size + 1):
                 pairs = sum(
                     1
                     for word in iter_permutations(shape)
                     for _ in iter_chains_of_word(word, k)
                 )
-                assert pairs == lah_ordered(shape, k)
+                assert pairs == row.value(k)
 
     def test_row_sum(self):
         for shape in iter_shapes(7):
@@ -154,22 +163,18 @@ class TestLahRows:
 
 class TestSolve:
     def test_frozen_examples(self):
-        assert solve_from_identity("eulerian", Shape((2, 1))).values == (1, 2, 0)
-        assert solve_from_identity("stirling2", Shape((2, 1))).values == (1, 4, 3)
-        assert solve_from_identity("stirling2", Shape((1, 1))).values == (1, 2)
+        assert eulerian_row_solve(Shape((2, 1))).values == (1, 2, 0)
+        assert stirling2_row_solve(Shape((2, 1))).values == (1, 4, 3)
+        assert stirling2_row_solve(Shape((1, 1))).values == (1, 2)
 
     def test_triple_agreement(self):
         for shape in iter_shapes(6):
             enum = eulerian_row_enum(shape).values
-            assert solve_from_identity("eulerian", shape).values == enum
+            assert eulerian_row_solve(shape).values == enum
             assert eulerian_row_closed(shape).values == enum
             senum = stirling2_row_enum(shape).values
-            assert solve_from_identity("stirling2", shape).values == senum
+            assert stirling2_row_solve(shape).values == senum
             assert stirling2_row_closed(shape).values == senum
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            solve_from_identity("lah", Shape((2, 1)))
 
 
 class TestQFamilies:
@@ -227,10 +232,7 @@ class TestQFamilies:
 
     def test_c_enum_matches_closed(self):
         for shape in iter_shapes(6):
-            assert (
-                c_polynomials(shape).values
-                == c_polynomials(shape, method="closed").values
-            )
+            assert c_polynomials(shape).values == c_polynomials_closed(shape).values
 
     def test_c_at_one_is_lah(self):
         for shape in iter_shapes(5):
@@ -238,7 +240,3 @@ class TestQFamilies:
             row = lah_row(shape)
             for k in range(1, shape.size + 1):
                 assert fam.value(k)(1) == row.value(k)
-
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            c_polynomials(Shape((2, 1)), method="guess")
