@@ -28,6 +28,14 @@ once and a child only merges one tuple into its parent's sorted list.
 The leaves are the points: each is visited once and gets its own key.
 :func:`classify_first` and :func:`classify_second` are the one-point case
 of the same sweep.
+
+A point's key and coordinate sum do not depend on the dilation level, and
+the points of level n are those of level n - 1 plus the new ones, whose
+largest coordinate is n.  :func:`classify_new_points` runs the same sweep
+over the new points only and tallies them into a running fiber table, so
+a caller walking the levels in order classifies each point once, at the
+first level that contains it, and after level n holds exactly the table
+:func:`classify_points` builds for level n.
 """
 
 from __future__ import annotations
@@ -125,35 +133,44 @@ def _content_chain(pairs: list[tuple[int, int]], letters: int) -> Chain:
 
 
 def _sweep(
-    kind: str, factors: Sequence[Sequence[tuple[int, ...]]]
-) -> tuple[int, Fibers]:
-    """Classify every point of the product of `factors` (the coordinate
-    tuples of each letter in turn) by an explicit-stack depth-first walk.
+    kind: str,
+    factors: Sequence[Sequence[tuple[int, ...]]],
+    fibers: Fibers,
+    top: int | None = None,
+) -> int:
+    """Classify the points of the product of `factors` (the coordinate
+    tuples of each letter in turn) by an explicit-stack depth-first walk,
+    tallying them into `fibers`.  With `top` given, only the points with
+    some coordinate equal to `top` are visited.
 
-    Returns the number of points classified and their fibers.  The stack
-    holds at most one entry per tuple of each factor, never the points;
-    the last factor's tuples are merged in at the leaves.
+    Returns the number of points classified.  The stack holds at most one
+    entry per tuple of each factor, never the points; the last factor's
+    tuples are merged in at the leaves.
     """
     first = kind == "first"
     leaf = _reading_word if first else _content_chain
-    # each tuple's sorted pairs and coordinate sum, built once per letter;
-    # letters are numbered from 1 in a word, from 0 as content indices
+    # each tuple's sorted pairs, coordinate sum and whether it holds `top`
+    # (its first, largest value), built once per letter; letters are
+    # numbered from 1 in a word, from 0 as content indices
     levels = [
-        [(sorted([(-v, j) for v in xs]), sum(xs)) for xs in tuples]
+        [(sorted([(-v, j) for v in xs]), sum(xs), xs[:1] == (top,)) for xs in tuples]
         for j, tuples in enumerate(factors, start=1 if first else 0)
     ]
-    last = levels.pop() if levels else [([], 0)]
+    last = levels.pop() if levels else [([], 0, False)]
+    last_top = [entry for entry in last if entry[2]]
     letters = len(factors)
-    fibers: Fibers = {}
     total = 0
-    stack = [([], 0, 0)]
+    # a node is new once one of its tuples holds `top` (from the root when
+    # there is no `top`); a node that is not new by the last letter visits
+    # only that letter's tuples that hold it
+    stack = [([], 0, 0, top is None)]
     while stack:
-        pairs, s, depth = stack.pop()
+        pairs, s, depth, new = stack.pop()
         if depth < len(levels):
-            for keyed, t in levels[depth]:
-                stack.append((sorted(pairs + keyed), s + t, depth + 1))
+            for keyed, t, has_top in levels[depth]:
+                stack.append((sorted(pairs + keyed), s + t, depth + 1, new or has_top))
             continue
-        for keyed, t in last:
+        for keyed, t, _ in last if new else last_top:
             merged = pairs + keyed
             merged.sort()
             key = leaf(merged, letters)
@@ -163,7 +180,19 @@ def _sweep(
             weight = s + t
             bucket[weight] = bucket.get(weight, 0) + 1
             total += 1
-    return total, fibers
+    return total
+
+
+def _dilation_factors(
+    kind: str, shape: Shape, n: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The letter factors of the n-fold dilation, once `kind` and `n` are
+    checked."""
+    if kind not in ("first", "second"):
+        raise ValueError(f"unknown classification kind {kind!r}")
+    if n < 0:
+        raise ValueError("dilation level must be nonnegative")
+    return [_factor_points(p, n) for p in shape.parts]
 
 
 def classify_points(kind: str, shape: Shape, n: int) -> tuple[int, Fibers]:
@@ -173,24 +202,40 @@ def classify_points(kind: str, shape: Shape, n: int) -> tuple[int, Fibers]:
     by chain).  Returns the number of points classified and a dict from
     each fiber key to its tally {coordinate sum: number of points}.
     """
-    if kind not in ("first", "second"):
-        raise ValueError(f"unknown classification kind {kind!r}")
-    if n < 0:
-        raise ValueError("dilation level must be nonnegative")
-    return _sweep(kind, [_factor_points(p, n) for p in shape.parts])
+    fibers: Fibers = {}
+    total = _sweep(kind, _dilation_factors(kind, shape, n), fibers)
+    return total, fibers
+
+
+def classify_new_points(kind: str, shape: Shape, n: int, fibers: Fibers) -> int:
+    """Classify the lattice points of the n-fold dilation that are not in
+    the (n-1)-fold one, those whose largest coordinate is n, and tally
+    them into the running table `fibers`.
+
+    `kind` is as for :func:`classify_points`.  Returns the number of new
+    points.  Called for n = 0, 1, ... in turn on one table, it classifies
+    each point once, at the first level that contains it, and leaves the
+    table of :func:`classify_points` for the last level.
+    """
+    return _sweep(kind, _dilation_factors(kind, shape, n), fibers, n)
+
+
+def _point_key(kind: str, point: Point) -> tuple:
+    fibers: Fibers = {}
+    _sweep(kind, [(xs,) for xs in point], fibers)
+    (key,) = fibers
+    return key
 
 
 def classify_first(point: Point) -> Word:
     """Reading word of a point: coordinates sorted by value descending
     with ties broken by letter."""
-    (word,) = _sweep("first", [(xs,) for xs in point])[1]
-    return word
+    return _point_key("first", point)
 
 
 def classify_second(point: Point) -> Chain:
     """Chain of cumulative letter contents of the distinct values."""
-    (chain,) = _sweep("second", [(xs,) for xs in point])[1]
-    return chain
+    return _point_key("second", point)
 
 
 def region_point_count(word: Word, n: int) -> int:

@@ -16,9 +16,12 @@ lhs, the row and the basis.  Every checker runs through one n-loop.
 
 The two decomposition oracles build one fiber table per job: the words
 or chains are enumerated once and grouped into classes whose members
-share their closed count and closed q-weight.  Each level still
-classifies every lattice point and compares every word's or chain's
-fiber, against values computed once per class.
+share their closed count and closed q-weight.  Each job also keeps one
+running table of lattice-point fibers: a point is classified at the first
+level that contains it, so level n adds only the points whose largest
+coordinate is n, and a level's table is the running table.  Every level
+compares every word's or chain's fiber in it against values computed once
+per class.
 
 Suite runs are deterministic: jobs are ordered by (identity, shape) and
 worker pools preserve that order, so the rendered report stream is
@@ -35,7 +38,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -48,9 +50,10 @@ from .combinatorics import (
     iter_shapes,
 )
 from .lattice import (
+    Fibers,
     chain_region_count,
     chain_weight_sum,
-    classify_points,
+    classify_new_points,
     f1,
     f2,
     point_count,
@@ -237,29 +240,42 @@ def _prepare_chain_q(shape: Shape) -> Level:
     return level
 
 
-def _fiber_level(shape: Shape, classify: Callable, classes: Callable) -> Level:
+def _fiber_level(shape: Shape, kind: str, classes: Callable) -> Level:
     """Level function of a decomposition oracle.
 
-    Each level classifies every lattice point with `classify(n)`, and
-    `classes(n)` yields each class of words or chains with the closed
-    count and q-weight that all its members share; every member's fiber
-    is compared with them.
+    The job keeps one running fiber table and point total.  Level n adds
+    the points `classify_new_points` finds, those first contained in
+    level n, so the table then holds every point of level n, each
+    classified once, at the first level that contains it.  `classes(n)`
+    yields each class of words or chains with the closed count and
+    q-weight that all its members share; every member's fiber in the
+    running table is compared with them, and the level fails if the table
+    holds a fiber that no member matched.
     """
+    fibers: Fibers = {}
+    total = 0
 
     def level(n: int) -> CheckRecord:
-        total, fibers = classify(n)
+        nonlocal total
+        total += classify_new_points(kind, shape, n, fibers)
         expected_total = point_count(shape, n)
         ok = total == expected_total
+        matched = 0
         for members, count, weight in classes(n):
             # a fiber's tally holds only positive counts, so it equals the
             # closed q-weight exactly when it equals its nonzero coefficients
             closed = {e: c for e, c in enumerate(weight.coeffs) if c}
             for key in members:
-                tally = fibers.pop(key, {})
+                tally = fibers.get(key)
+                if tally is None:
+                    tally = {}
+                else:
+                    matched += 1
                 if sum(tally.values()) != count or tally != closed:
                     ok = False
-        if fibers:
-            # a point was classified into a fiber that enumeration never produced
+        if matched != len(fibers):
+            # a point was classified into a fiber that enumeration never
+            # produced at this level
             ok = False
         return CheckRecord(n, expected_total, total, ok)
 
@@ -280,7 +296,7 @@ def _prepare_decomp_first(shape: Shape) -> Level:
             rep = members[0]
             yield members, region_point_count(rep, n), region_gf(rep, n)
 
-    return _fiber_level(shape, partial(classify_points, "first", shape), classes)
+    return _fiber_level(shape, "first", classes)
 
 
 def _prepare_decomp_second(shape: Shape) -> Level:
@@ -293,7 +309,8 @@ def _prepare_decomp_second(shape: Shape) -> Level:
     def classes(n: int):
         # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
         # points and weight zero.  Those chains are not visited; a point
-        # classified into one stays in `fibers` and fails the record.
+        # classified into one is a fiber no member matches, which fails
+        # the record.
         for k in range(1, min(shape.size, n + 1) + 1):
             if k == len(by_k):
                 groups: dict[tuple[int, ...], list] = {}
@@ -305,7 +322,7 @@ def _prepare_decomp_second(shape: Shape) -> Level:
                 weight = chain_weight_sum(members[0], n)
                 yield members, chain_region_count(k, n), weight
 
-    return _fiber_level(shape, partial(classify_points, "second", shape), classes)
+    return _fiber_level(shape, "second", classes)
 
 
 # The lambdas look names up in this module's globals when they run, not

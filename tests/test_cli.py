@@ -151,6 +151,22 @@ _PINNED = [
         "classify-2-1.json",
         ("classify", "--shape", "2,1", "--n", "2", "--point", "2,1;1"),
     ),
+    # 13 levels of both oracles, each level adding its new points to the
+    # running fiber table
+    (
+        "verify-decomp-2-1-1.jsonl",
+        (
+            "verify",
+            "--identity",
+            "decomp_first,decomp_second",
+            "--shape",
+            "2,1,1",
+            "--nmax",
+            "12",
+            "--workers",
+            "1",
+        ),
+    ),
 ]
 
 

@@ -17,6 +17,7 @@ from multiset_eulerian.lattice import (
     chain_region_count,
     chain_weight_sum,
     classify_first,
+    classify_new_points,
     classify_points,
     classify_second,
     coordinate_sum,
@@ -185,11 +186,29 @@ class TestSweep:
                         total += 1
                     assert classify_points(kind, shape, n) == (total, fibers)
 
+    def test_running_table_equals_full_sweep(self):
+        # tallying each level's new points into one running table leaves,
+        # after level n, the table and total of the full sweep of level n
+        for shape in iter_shapes(5):
+            for kind in ("first", "second"):
+                fibers = {}
+                total = 0
+                for n in range(5):
+                    new = classify_new_points(kind, shape, n, fibers)
+                    # point_count(shape, -1) is 0: level 0 is all new
+                    assert new == point_count(shape, n) - point_count(shape, n - 1)
+                    total += new
+                    assert (total, fibers) == classify_points(kind, shape, n)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            classify_points("third", Shape((1,)), 1)
-        with pytest.raises(ValueError):
-            classify_points("first", Shape((1,)), -1)
+        for classify in (
+            classify_points,
+            lambda kind, shape, n: classify_new_points(kind, shape, n, {}),
+        ):
+            with pytest.raises(ValueError):
+                classify("third", Shape((1,)), 1)
+            with pytest.raises(ValueError):
+                classify("first", Shape((1,)), -1)
 
 
 class TestRegionWeights:

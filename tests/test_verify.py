@@ -83,40 +83,68 @@ class TestKnownCounterexamples:
 
 
 def _also_classify_origin_into(monkeypatch, key):
-    """Make the oracle's sweep also put the origin (coordinate sum 0)
-    into the fiber `key`, leaving its total and the fibers it found as
-    they are.  A key the oracle never visits is then caught only by the
-    leftover-fiber check."""
-    sweep = verify.classify_points
+    """Make the oracle's walk also put the origin (coordinate sum 0) into
+    the fiber `key` at level 0, where the origin is first classified,
+    leaving the new-point count and the fibers it found as they are; the
+    extra tally stays in the running table.  A key the oracle never visits
+    is then caught only by the leftover-fiber check."""
+    walk = verify.classify_new_points
 
-    def classify(kind, shape, n):
-        total, fibers = sweep(kind, shape, n)
-        fibers[key] = {0: 1}
-        return total, fibers
+    def classify(kind, shape, n, fibers):
+        count = walk(kind, shape, n, fibers)
+        if n == 0:
+            fibers[key] = {0: 1}
+        return count
 
-    monkeypatch.setattr(verify, "classify_points", classify)
+    monkeypatch.setattr(verify, "classify_new_points", classify)
 
 
 def _move_one_point_up(monkeypatch, key):
-    """Make the oracle's sweep move one point of the fiber `key` from the
-    fiber's largest coordinate sum to the next one up, at every level
-    where `key` has a fiber.  The fiber keeps its count, so only the
-    q-weight comparison can catch the move."""
-    sweep = verify.classify_points
+    """Make the oracle's walk move one point of the fiber `key` from the
+    fiber's largest coordinate sum to the next one up, at the level where
+    the fiber first gets points; the move stays in the running table.  The
+    fiber keeps its count, so only the q-weight comparison can catch the
+    move."""
+    walk = verify.classify_new_points
 
-    def classify(kind, shape, n):
-        total, fibers = sweep(kind, shape, n)
-        if key not in fibers:
-            return total, fibers
+    def classify(kind, shape, n, fibers):
+        had = key in fibers
+        count = walk(kind, shape, n, fibers)
+        if had or key not in fibers:
+            return count
         tally = fibers[key]
         top = max(tally)
         tally[top] -= 1
         if not tally[top]:
             del tally[top]
         tally[top + 1] = tally.get(top + 1, 0) + 1
-        return total, fibers
+        return count
 
-    monkeypatch.setattr(verify, "classify_points", classify)
+    monkeypatch.setattr(verify, "classify_new_points", classify)
+
+
+def _retally_at_level(monkeypatch, at, value, step):
+    """Make the oracle's walk, at level `at` only, add `step` to the new-point
+    count and to the tally of the point whose every coordinate is `value`,
+    keyed by the one-point classifier.  Step 1 with value at - 1 classifies
+    a point of the level below again; step -1 with value at drops a new
+    point."""
+    walk = verify.classify_new_points
+
+    def classify(kind, shape, n, fibers):
+        count = walk(kind, shape, n, fibers)
+        if n != at:
+            return count
+        point = tuple((value,) * p for p in shape.parts)
+        one = lattice.classify_first if kind == "first" else lattice.classify_second
+        tally = fibers.setdefault(one(point), {})
+        s = lattice.coordinate_sum(point)
+        tally[s] = tally.get(s, 0) + step
+        if not tally[s]:
+            del tally[s]
+        return count + step
+
+    monkeypatch.setattr(verify, "classify_new_points", classify)
 
 
 class TestPassingIdentities:
@@ -190,6 +218,26 @@ class TestPassingIdentities:
                 report = check_identity(IdentityId.DECOMP_SECOND, Shape((1, 1)), 1)
                 # the chain has no point at level 0, which still passes
                 assert report.counterexample.n == 1
+
+    @pytest.mark.parametrize(
+        "identity", [IdentityId.DECOMP_FIRST, IdentityId.DECOMP_SECOND]
+    )
+    @pytest.mark.parametrize(
+        "offset, step", [(-1, 1), (0, -1)], ids=["classified-again", "dropped"]
+    )
+    def test_running_total_catches_a_double_count_or_a_gap(
+        self, monkeypatch, identity, offset, step
+    ):
+        # each point is classified once, at the first level that contains
+        # it; a point of the level below classified again, or a new point
+        # left out, must fail that level and every level after it
+        shape = Shape((2, 1))
+        for at in range(1, 4):
+            with monkeypatch.context() as patch:
+                _retally_at_level(patch, at, at + offset, step)
+                records = check_identity(identity, shape, 4).records
+            assert [r.equal for r in records] == [True] * at + [False] * (5 - at)
+            assert records[at].rhs == lattice.point_count(shape, at) + step
 
     def test_shape_with_many_copies_of_one_letter(self):
         # 1200 copies of one letter, deeper than the recursion limit
