@@ -29,7 +29,6 @@ from .lattice import (
     chain_weight_sum,
     classify_first,
     classify_new_points,
-    classify_points,
     classify_second,
     coordinate_sum,
     f1,
@@ -59,10 +58,8 @@ from .verify import (
     CheckRecord,
     IdentityId,
     IdentityReport,
-    SuiteResult,
     SuiteRun,
     check_identity,
-    run_suite,
     suite_jobs,
 )
 
@@ -76,7 +73,6 @@ __all__ = [
     "QPolynomial",
     "Row",
     "Shape",
-    "SuiteResult",
     "SuiteRun",
     "Word",
     "a_polynomials",
@@ -92,7 +88,6 @@ __all__ = [
     "check_identity",
     "classify_first",
     "classify_new_points",
-    "classify_points",
     "classify_second",
     "coordinate_sum",
     "descent_set",
@@ -116,7 +111,6 @@ __all__ = [
     "q_binomial",
     "region_gf",
     "region_point_count",
-    "run_suite",
     "stirling2_row_closed",
     "stirling2_row_enum",
     "stirling2_row_solve",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence, TextIO
@@ -48,8 +47,6 @@ from .numbers import (
     stirling2_row_closed,
 )
 from .verify import SuiteRun, json_line, suite_jobs
-
-WORKERS_ENV = "MULTISET_EULERIAN_WORKERS"
 
 # table kind -> closed integer row
 _ROWS = {
@@ -105,12 +102,6 @@ def _positive_int(raw: str, source: str) -> int:
     raise UsageError(f"{source} must be a positive integer, got {raw!r}")
 
 
-def _default_workers() -> int:
-    """Worker count from the environment, 1 when unset; anything but a
-    positive integer is a usage error."""
-    return _positive_int(os.environ.get(WORKERS_ENV, "1"), WORKERS_ENV)
-
-
 @contextmanager
 def _sink(path: "str | None") -> Iterator[TextIO]:
     """The command's output: the file at `path`, else standard output.  A
@@ -162,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated identity names (default: all registered)",
     )
     verify.add_argument("--shape", help="restrict the run to one shape")
-    verify.add_argument("--workers")
+    verify.add_argument("--workers", default="1")
     verify.add_argument(
         "--time-limit",
         type=float,
@@ -227,10 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("need --dmax or --shape")
     if args.identity is not None:
         identities = [tok.strip() for tok in args.identity.split(",") if tok.strip()]
-    if args.workers is None:
-        workers = _default_workers()
-    else:
-        workers = _positive_int(args.workers, "--workers")
+    workers = _positive_int(args.workers, "--workers")
     try:
         jobs = suite_jobs(
             d_max=args.dmax,

@@ -20,22 +20,18 @@ Each point is classified in two ways:
   size; this is deliberately not assumed to have a Gaussian-binomial
   form, because it does not have one once a block size exceeds 1.
 
-:func:`classify_points` classifies every point of a dilation in one
-depth-first sweep over the letter factors.  A node at depth m carries the
-sorted (value, letter) pairs of the tuples chosen for the first m letters
-and their coordinate sum, so each factor tuple's pairs and sum are built
-once and a child only merges one tuple into its parent's sorted list.
-The leaves are the points: each is visited once and gets its own key.
-:func:`classify_first` and :func:`classify_second` are the one-point case
-of the same sweep.
-
-A point's key and coordinate sum do not depend on the dilation level, and
-the points of level n are those of level n - 1 plus the new ones, whose
-largest coordinate is n.  :func:`classify_new_points` runs the same sweep
-over the new points only and tallies them into a running fiber table, so
-a caller walking the levels in order classifies each point once, at the
-first level that contains it, and after level n holds exactly the table
-:func:`classify_points` builds for level n.
+:func:`classify_new_points` classifies the points of a dilation that
+are not in the one below it, those whose largest coordinate is n, in one
+depth-first sweep over the letter factors, and tallies them into a
+running fiber table.  A point's key and coordinate sum do not depend on
+the dilation level, so a caller walking the levels n = 0, 1, ... in turn
+classifies each point once, at the first level that contains it, and
+after level n holds the table of every point of level n.  A node of the
+sweep at depth m carries the sorted (value, letter) pairs of the tuples
+chosen for the first m letters and their coordinate sum, so each factor
+tuple's pairs and sum are built once and a child only merges one tuple
+into its parent's sorted list.  :func:`classify_first` and
+:func:`classify_second` are the one-point case of the same sweep.
 """
 
 from __future__ import annotations
@@ -183,41 +179,24 @@ def _sweep(
     return total
 
 
-def _dilation_factors(
-    kind: str, shape: Shape, n: int
-) -> list[tuple[tuple[int, ...], ...]]:
-    """The letter factors of the n-fold dilation, once `kind` and `n` are
-    checked."""
-    if kind not in ("first", "second"):
-        raise ValueError(f"unknown classification kind {kind!r}")
-    if n < 0:
-        raise ValueError("dilation level must be nonnegative")
-    return [_factor_points(p, n) for p in shape.parts]
-
-
-def classify_points(kind: str, shape: Shape, n: int) -> tuple[int, Fibers]:
-    """Classify every lattice point of the n-fold dilation.
-
-    `kind` is "first" (fibers keyed by reading word) or "second" (keyed
-    by chain).  Returns the number of points classified and a dict from
-    each fiber key to its tally {coordinate sum: number of points}.
-    """
-    fibers: Fibers = {}
-    total = _sweep(kind, _dilation_factors(kind, shape, n), fibers)
-    return total, fibers
-
-
 def classify_new_points(kind: str, shape: Shape, n: int, fibers: Fibers) -> int:
     """Classify the lattice points of the n-fold dilation that are not in
     the (n-1)-fold one, those whose largest coordinate is n, and tally
     them into the running table `fibers`.
 
-    `kind` is as for :func:`classify_points`.  Returns the number of new
-    points.  Called for n = 0, 1, ... in turn on one table, it classifies
-    each point once, at the first level that contains it, and leaves the
-    table of :func:`classify_points` for the last level.
+    `kind` is "first" (fibers keyed by reading word) or "second" (keyed
+    by chain); the table maps each fiber key to its tally {coordinate
+    sum: number of points}.  Returns the number of new points.  Called
+    for n = 0, 1, ... in turn on one table, it classifies each point
+    once, at the first level that contains it, and leaves the table of
+    every point of the last level.
     """
-    return _sweep(kind, _dilation_factors(kind, shape, n), fibers, n)
+    if kind not in ("first", "second"):
+        raise ValueError(f"unknown classification kind {kind!r}")
+    if n < 0:
+        raise ValueError("dilation level must be nonnegative")
+    factors = [_factor_points(p, n) for p in shape.parts]
+    return _sweep(kind, factors, fibers, n)
 
 
 def _point_key(kind: str, point: Point) -> tuple:
@@ -270,17 +249,30 @@ def chain_weight_sum(chain: Chain, n: int) -> QPolynomial:
     return _strict_weight(chain_block_sizes(chain), n)
 
 
-# bounded memory: `verify --dmax 6 --nmax 6 --q` fills 448 entries
+# bounded memory: `verify --dmax 6 --nmax 6 --q` fills 441 entries
 @lru_cache(maxsize=4096)
 def _strict_weight(sizes: tuple[int, ...], n: int) -> QPolynomial:
-    if not sizes:
+    k = len(sizes)
+    if not k:
         return ONE
-    if n + 1 < len(sizes):
+    if n + 1 < k:
         return ZERO
-    total = ZERO
-    for top in range(len(sizes) - 1, n + 1):
-        total = total + _strict_weight(sizes[1:], top - 1).shift(sizes[0] * top)
-    return total
+    # A loop from the last block up, so no chain is too long for the
+    # stack.  Block j takes the values k-1-j .. n-j, a window of the same
+    # width for every block.  Before block j is placed, below[i] is the
+    # weight of the blocks after it, summed over their values, when block
+    # j sits at value k-1-j+i; the last block has nothing after it.
+    below = [ONE] * (n - k + 2)
+    for j in range(k - 1, -1, -1):
+        low = k - 1 - j
+        running = ZERO
+        for i, weight in enumerate(below):
+            # the prefix sum is the weight under block j - 1 at value
+            # low+1+i, which admits block j at every value up to low+i
+            running = running + weight.shift(sizes[j] * (low + i))
+            below[i] = running
+    # after block 0, the last prefix sum covers every top value up to n
+    return below[-1]
 
 
 def f1(shape: Shape, n: int) -> QPolynomial:

@@ -5,8 +5,8 @@ integer q-polynomials, for each dilation level n in 0..n_max, and
 records the values verbatim.  A failing identity therefore yields a
 concrete counterexample rather than a boolean.  Two registered
 identities are known not to hold in general (stirling2_q and lah_q):
-they are marked as not expected to pass, and a suite run treats their
-failures as informative output instead of an error.
+they are marked as not expected to pass, and the command line treats
+their failures as informative output instead of an error.
 
 The registry table is the one place where an identity is declared: its
 `IdentityId` member carries the name and the flags, and its `_CHECKERS`
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -484,34 +484,3 @@ class SuiteRun:
                     self.truncated = True
                     return
                 yield report
-
-
-@dataclass
-class SuiteResult:
-    reports: list[IdentityReport] = field(default_factory=list)
-    truncated: bool = False
-
-    @property
-    def unexpected_failures(self) -> list[IdentityReport]:
-        return [r for r in self.reports if r.expected and not r.passed]
-
-    @property
-    def ok(self) -> bool:
-        return not self.truncated and not self.unexpected_failures
-
-
-def run_suite(
-    d_max: int | None = None,
-    n_max: int = 8,
-    l_max: int | None = None,
-    include_q: bool = False,
-    identities: "Sequence[IdentityId | str] | None" = None,
-    shapes: "Iterable[Shape] | None" = None,
-    workers: int = 1,
-    time_limit: "float | None" = None,
-) -> SuiteResult:
-    """Run every selected check and collect the reports in job order."""
-    jobs = suite_jobs(d_max, n_max, l_max, include_q, identities, shapes)
-    run = SuiteRun(jobs, workers=workers, time_limit=time_limit)
-    reports = list(run)
-    return SuiteResult(reports, run.truncated)

@@ -8,7 +8,7 @@ import pytest
 
 import multiset_eulerian
 from multiset_eulerian import verify
-from multiset_eulerian.cli import UsageError, _default_workers, main
+from multiset_eulerian.cli import main
 from multiset_eulerian.combinatorics import Shape
 
 
@@ -465,16 +465,13 @@ class TestVerify:
         assert code == 2
         assert "--workers" in err
 
-    @pytest.mark.parametrize("raw", ["zero", "0", "-3"])
-    def test_bad_workers_env_is_usage_error(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("MULTISET_EULERIAN_WORKERS", raw)
-        code, out, err = run_cli(capsys, "verify", "--dmax", "1")
-        assert code == 2
-        assert out == ""
-        assert "MULTISET_EULERIAN_WORKERS" in err
-        # only verify reads the variable, and --workers overrides it
-        assert run_cli(capsys, "verify", "--dmax", "1", "--workers", "1")[0] == 0
-        assert run_cli(capsys, "table", "--shape", "1,1", "--kind", "lah")[0] == 0
+    def test_workers_env_is_not_read(self, capsys, monkeypatch):
+        # --workers, default 1, is the one way to choose the worker count
+        monkeypatch.delenv("MULTISET_EULERIAN_WORKERS", raising=False)
+        plain = run_cli(capsys, "verify", "--dmax", "1")
+        monkeypatch.setenv("MULTISET_EULERIAN_WORKERS", "0")
+        assert run_cli(capsys, "verify", "--dmax", "1") == plain
+        assert plain[0] == 0
 
     def test_identity_list_filter(self, capsys):
         code, out, _ = run_cli(
@@ -501,12 +498,3 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
-
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.setenv("MULTISET_EULERIAN_WORKERS", "4")
-        assert _default_workers() == 4
-        monkeypatch.setenv("MULTISET_EULERIAN_WORKERS", "zero")
-        with pytest.raises(UsageError):
-            _default_workers()
-        monkeypatch.delenv("MULTISET_EULERIAN_WORKERS")
-        assert _default_workers() == 1

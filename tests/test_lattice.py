@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,6 @@ from multiset_eulerian.lattice import (
     chain_weight_sum,
     classify_first,
     classify_new_points,
-    classify_points,
     classify_second,
     coordinate_sum,
     f1,
@@ -171,8 +172,9 @@ class TestClassifierOracles:
 
 class TestSweep:
     def test_matches_point_by_point_oracles(self):
-        # total and fibers equal those built from every enumerated point,
-        # its brute-force key and a plain coordinate sum
+        # one level tallied into an empty table gives the total and fibers
+        # built from the enumerated points whose largest coordinate is n,
+        # their brute-force keys and a plain coordinate sum
         oracles = {"first": brute_classify_first, "second": brute_classify_second}
         for shape in iter_shapes(5):
             for n in range(4):
@@ -180,17 +182,23 @@ class TestSweep:
                     total = 0
                     fibers = {}
                     for point in iter_points(shape, n):
+                        if max((v for xs in point for v in xs), default=0) != n:
+                            continue
                         bucket = fibers.setdefault(oracle(point), {})
                         s = sum(v for xs in point for v in xs)
                         bucket[s] = bucket.get(s, 0) + 1
                         total += 1
-                    assert classify_points(kind, shape, n) == (total, fibers)
+                    table = {}
+                    assert classify_new_points(kind, shape, n, table) == total
+                    assert table == fibers
 
     def test_running_table_equals_full_sweep(self):
         # tallying each level's new points into one running table leaves,
-        # after level n, the table and total of the full sweep of level n
+        # after level n, the total and fibers built from every enumerated
+        # point of level n, its brute-force key and a plain coordinate sum
+        oracles = {"first": brute_classify_first, "second": brute_classify_second}
         for shape in iter_shapes(5):
-            for kind in ("first", "second"):
+            for kind, oracle in oracles.items():
                 fibers = {}
                 total = 0
                 for n in range(5):
@@ -198,17 +206,20 @@ class TestSweep:
                     # point_count(shape, -1) is 0: level 0 is all new
                     assert new == point_count(shape, n) - point_count(shape, n - 1)
                     total += new
-                    assert (total, fibers) == classify_points(kind, shape, n)
+                    count = 0
+                    expected = {}
+                    for point in iter_points(shape, n):
+                        bucket = expected.setdefault(oracle(point), {})
+                        s = sum(v for xs in point for v in xs)
+                        bucket[s] = bucket.get(s, 0) + 1
+                        count += 1
+                    assert (total, fibers) == (count, expected)
 
     def test_validation(self):
-        for classify in (
-            classify_points,
-            lambda kind, shape, n: classify_new_points(kind, shape, n, {}),
-        ):
-            with pytest.raises(ValueError):
-                classify("third", Shape((1,)), 1)
-            with pytest.raises(ValueError):
-                classify("first", Shape((1,)), -1)
+        with pytest.raises(ValueError):
+            classify_new_points("third", Shape((1,)), 1, {})
+        with pytest.raises(ValueError):
+            classify_new_points("first", Shape((1,)), -1, {})
 
 
 class TestRegionWeights:
@@ -262,6 +273,18 @@ class TestChainWeights:
     def test_merged_block_breaks_gaussian_form(self):
         chain = ((0, 0), (1, 1))  # one block of size 2
         assert chain_weight_sum(chain, 1) != q_binomial(2, 1)
+
+    def test_chain_longer_than_recursion_limit(self):
+        # the one-letter chain 0 < 1 < ... < 150 has 150 blocks of size 1;
+        # at n = 149 its values are forced to 149, 148, ..., 0
+        chain = tuple((i,) for i in range(151))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            weight = chain_weight_sum(chain, 149)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert weight == QPolynomial.monomial(1, 150 * 149 // 2)
 
     def test_at_one_is_region_count(self):
         for shape in iter_shapes(5):

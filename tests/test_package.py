@@ -1,7 +1,7 @@
 import pytest
 
 import multiset_eulerian
-from multiset_eulerian import numbers, verify
+from multiset_eulerian import lattice, numbers, verify
 
 
 def test_public_names_resolve_once():
@@ -14,16 +14,21 @@ def test_public_names_resolve_once():
 @pytest.mark.parametrize(
     "name",
     [
+        "SuiteResult",
         "check_decomposition",
+        "classify_points",
         "eulerian_closed",
         "lah_ordered",
+        "run_suite",
         "solve_from_identity",
         "stirling2_closed",
     ],
 )
 def test_no_route_switch_or_per_entry_helper(name):
-    # each route of a row is one function returning the whole row, and
-    # check_identity is the one way into the decomposition oracles
+    # each route of a row is one function returning the whole row,
+    # check_identity is the one way into the decomposition oracles,
+    # SuiteRun over suite_jobs the one way to run a suite, and
+    # classify_new_points the one dilation classifier
     assert name not in multiset_eulerian.__all__
-    for module in (multiset_eulerian, numbers, verify):
+    for module in (multiset_eulerian, lattice, numbers, verify):
         assert not hasattr(module, name)

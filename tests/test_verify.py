@@ -21,7 +21,6 @@ from multiset_eulerian.verify import (
     IdentityId,
     SuiteRun,
     check_identity,
-    run_suite,
     suite_jobs,
 )
 from oracles import brute_chains
@@ -318,45 +317,50 @@ class TestSuite:
         assert jobs == [(IdentityId.STIRLING2, Shape((3, 1)), 4)]
 
     def test_all_integer_identities_pass(self):
-        result = run_suite(d_max=3, n_max=4, l_max=3)
-        assert result.ok
-        assert not result.truncated
-        assert all(r.passed for r in result.reports)
+        run = SuiteRun(suite_jobs(d_max=3, n_max=4, l_max=3))
+        reports = list(run)
+        assert not run.truncated
+        assert all(r.passed for r in reports)
 
     def test_q_failures_are_expected_only(self):
-        result = run_suite(d_max=2, n_max=3, include_q=True)
-        assert result.ok
-        failing = {(r.identity, r.shape.parts) for r in result.reports if not r.passed}
+        run = SuiteRun(suite_jobs(d_max=2, n_max=3, include_q=True))
+        reports = list(run)
+        assert not run.truncated
+        failing = {(r.identity, r.shape.parts) for r in reports if not r.passed}
         assert failing == {
             (IdentityId.STIRLING2_Q, (2,)),
             (IdentityId.STIRLING2_Q, (1, 1)),
             (IdentityId.LAH_Q, (2,)),
             (IdentityId.LAH_Q, (1, 1)),
         }
-        assert result.unexpected_failures == []
+        assert [r for r in reports if r.expected and not r.passed] == []
 
     def test_caches_are_bounded_and_do_not_evict(self):
         # a serial d <= 4 run with every identity fits the three caches
         caches = (q_binomial, lattice._strict_weight, lattice._factor_points)
         for cache in caches:
             cache.cache_clear()
-        assert run_suite(d_max=4, n_max=6, include_q=True).ok
+        run = SuiteRun(suite_jobs(d_max=4, n_max=6, include_q=True))
+        reports = list(run)
+        assert not run.truncated
+        assert all(r.passed or not r.expected for r in reports)
         for cache in caches:
             info = cache.cache_info()
             assert isinstance(info.maxsize, int)
             assert info.misses == info.currsize < info.maxsize
 
     def test_worker_pool_matches_serial(self):
-        serial = run_suite(d_max=2, n_max=3, include_q=True, workers=1)
-        pooled = run_suite(d_max=2, n_max=3, include_q=True, workers=2)
-        assert [r.to_json_line() for r in serial.reports] == [
-            r.to_json_line() for r in pooled.reports
+        jobs = suite_jobs(d_max=2, n_max=3, include_q=True)
+        serial = SuiteRun(jobs, workers=1)
+        pooled = SuiteRun(jobs, workers=2)
+        assert [r.to_json_line() for r in serial] == [
+            r.to_json_line() for r in pooled
         ]
 
     def test_suite_q_reference_stream(self):
         # every identity over every shape with d <= 5, pinned byte for byte
-        result = run_suite(d_max=5, n_max=6, include_q=True, workers=2)
-        stream = "".join(r.to_json_line() + "\n" for r in result.reports)
+        run = SuiteRun(suite_jobs(d_max=5, n_max=6, include_q=True), workers=2)
+        stream = "".join(r.to_json_line() + "\n" for r in run)
         assert stream == SUITE_Q_REF.read_text()
 
     def test_pool_starts_no_more_processes_than_jobs(self, monkeypatch):
@@ -383,26 +387,24 @@ class TestSuite:
         assert [r.shape for r in reports] == [Shape((1,)), Shape((2,))]
 
     def test_zero_time_limit_truncates(self):
-        result = run_suite(d_max=2, n_max=2, time_limit=0.0)
-        assert result.truncated
-        assert result.reports == []
-        assert not result.ok
+        run = SuiteRun(suite_jobs(d_max=2, n_max=2), time_limit=0.0)
+        assert list(run) == []
+        assert run.truncated
 
     def test_pool_does_not_wait_for_running_job(self):
-        # decomp_second on 1^8 up to n = 6 classifies about 7.9 million
-        # points; the levels up to n = 4 alone (0.46 million) take seconds,
-        # so the job runs far beyond both the 0.2 s budget and the 5 s bound
+        # decomp_second on 1^8 up to n = 6 classifies 7^8, about 5.8
+        # million points; the levels up to n = 4 alone (5^8, 0.39 million)
+        # take seconds, so the job runs far beyond both the 0.2 s budget
+        # and the 5 s bound
         start = time.monotonic()
-        result = run_suite(
-            shapes=[Shape((1,) * 8)],
-            identities=["decomp_second"],
-            n_max=6,
-            workers=2,
-            time_limit=0.2,
+        jobs = suite_jobs(
+            shapes=[Shape((1,) * 8)], identities=["decomp_second"], n_max=6
         )
+        run = SuiteRun(jobs, workers=2, time_limit=0.2)
+        reports = list(run)
         assert time.monotonic() - start < 5
-        assert result.truncated
-        assert result.reports == []
+        assert run.truncated
+        assert reports == []
 
     def test_serial_run_does_not_wait_for_running_job(self):
         # the same job as above, run serially: a timed run goes through the
