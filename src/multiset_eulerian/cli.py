@@ -4,15 +4,15 @@ Subcommands: ``table`` renders integer rows, ``qtable`` renders rows of
 q-polynomial coefficients, ``verify`` streams identity reports as JSON
 lines, and ``classify`` classifies a single lattice point.  Exit codes:
 0 success, 1 unexpected identity failure, 2 usage error, 3 resource
-truncation, 4 a job crashed (``verify`` ends its stream with an
-``error`` line naming the exception type, the identity and the shape).
+truncation, 4 a job crashed or its worker died (``verify`` ends its
+stream with an ``error`` line naming the exception, identity and shape).
 
 Every input is served or rejected with exit code 2, never with a
 traceback.  Usage errors include a shape that ``Shape.parse`` rejects,
 an ``--output`` that cannot be opened for writing, and a ``verify``
 selection that would check nothing, such as an empty ``--identity``.
-A ``--time-limit`` longer than the longest wait the pool supports,
-``inf`` included, is served as an untimed run.
+A ``--time-limit`` of ``inf``, or too long for any wait to express, is
+served as an untimed run.
 
 Each command, row kind and option is declared once: a subparser names
 its command function with ``set_defaults(run=...)``, the row kinds are

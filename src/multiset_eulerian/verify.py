@@ -24,18 +24,18 @@ compares every word's or chain's fiber in it against values computed once
 per class.
 
 Suite runs are deterministic: jobs are ordered by (identity, shape) and
-worker pools preserve that order, so the rendered report stream is
-byte-identical for any worker count.  Only an untimed run with one
-worker stays in-process, and it never imports `multiprocessing`.  Every
-other run goes through a process pool, whose termination is the one way
-a job still running at the deadline is stopped.
+reports are yielded in that order, so the report stream is byte-identical
+for any worker count.  Only an untimed run with one worker stays
+in-process, and it never imports `multiprocessing`.  Every other run starts
+its own worker processes and terminates them at the deadline; a worker
+that dies mid-job is a crash, never a timeout or a hang.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
@@ -418,19 +418,24 @@ def suite_jobs(
     return [(i, s, n_max) for i in selected for s in shape_list]
 
 
-def _run_job(job: Job) -> IdentityReport:
-    identity, shape, n_max = job
-    return check_identity(identity, shape, n_max)
+def _serve(conn, jobs: Sequence[Job]) -> None:
+    """Worker loop: answer each job index with its report or its exception."""
+    import traceback  # in the worker only
+    while True:
+        try:
+            conn.send(check_identity(*jobs[conn.recv()]))
+        except Exception as exc:
+            exc.__notes__ = [traceback.format_exc()]  # pickling keeps a note
+            conn.send(exc)
 
 
 class SuiteRun:
-    """Iterate suite reports in job order, optionally on a process pool.
+    """Iterate suite reports in job order, optionally on worker processes.
 
     After iteration finishes, `truncated` records whether a wall-clock
-    budget cut the run short.  Only an untimed run with one worker stays
-    in-process; a timed run, serial or not, goes through the pool, so a
-    job still running when the budget runs out is stopped by terminating
-    its worker, on any thread.
+    budget cut the run short.  A run other than an untimed one-worker run
+    hands each job to whichever of its own workers is free; a job whose
+    worker dies raises `ChildProcessError`, and every way out reaps them.
     """
 
     def __init__(
@@ -449,38 +454,63 @@ class SuiteRun:
         self.time_limit = time_limit
         self.truncated = False
 
-    def _remaining(self, start: float) -> "float | None":
-        """Seconds left in the budget, or None without one: at least 0, and
-        at most `threading.TIMEOUT_MAX`, the longest wait a pool accepts."""
-        if self.time_limit is None:
-            return None
-        left = self.time_limit - (time.monotonic() - start)
-        return min(threading.TIMEOUT_MAX, max(0.0, left))
-
     def __iter__(self) -> Iterator[IdentityReport]:
         start = time.monotonic()
-        if self.workers == 1 and self.time_limit is None:
+        if not self.jobs or self.workers == 1 and self.time_limit is None:
             for job in self.jobs:
-                yield _run_job(job)
+                yield check_identity(*job)
             return
-        if not self.jobs:
-            return
-        if self._remaining(start) == 0:
-            # a spent budget truncates before the pool is even imported
+        deadline = start + float("inf" if self.time_limit is None else self.time_limit)
+        if time.monotonic() >= deadline:
+            # a spent budget truncates before multiprocessing is even imported
             self.truncated = True
             return
         # imported here, so an in-process run does not pay for loading it
-        import multiprocessing
+        from multiprocessing import Pipe, Process
+        from multiprocessing.connection import wait
 
-        # Leaving the block terminates the workers, so jobs still running
-        # when the budget runs out are killed rather than waited for.
-        # the pool forks every worker up front; start no more than jobs
-        with multiprocessing.Pool(min(self.workers, len(self.jobs))) as pool:
-            results = pool.imap(_run_job, self.jobs)
-            for _ in self.jobs:
-                try:
-                    report = results.next(self._remaining(start))
-                except multiprocessing.TimeoutError:
-                    self.truncated = True
-                    return
-                yield report
+        started = []  # every worker, joined on every way out
+        running = {}  # pipe -> (worker, index of its job)
+        results: dict = {}  # index -> report or exception, until yielded
+        handed = min(self.workers, len(self.jobs))  # jobs handed out so far
+        try:
+            for job in range(handed):
+                pipe, child = Pipe()
+                worker = Process(target=_serve, args=(child, self.jobs), daemon=True)
+                worker.start()
+                child.close()
+                started.append(worker)
+                pipe.send(job)
+                running[pipe] = worker, job
+            for index in range(len(self.jobs)):
+                while index not in results:
+                    # poll() rejects a wait above 2**31 - 1 ms (24.8 days)
+                    timeout = min(2e6, max(0.0, deadline - time.monotonic()))
+                    sentinels = [w.sentinel for w, _ in running.values()]
+                    ready = wait([*running, *sentinels], timeout)
+                    if not ready and time.monotonic() >= deadline:
+                        self.truncated = True
+                        return
+                    for pipe, (worker, job) in list(running.items()):
+                        if pipe not in ready and worker.sentinel not in ready:
+                            continue
+                        del running[pipe]
+                        try:
+                            results[job] = pipe.recv()
+                        except (EOFError, OSError):
+                            worker.join()  # its repr then names the exit code
+                            results[job] = ChildProcessError(f"{worker!r} died mid-job")
+                            continue
+                        if handed < len(self.jobs):
+                            with suppress(OSError):  # its sentinel tells a death
+                                pipe.send(handed)
+                            running[pipe] = worker, handed
+                            handed += 1
+                result = results.pop(index)
+                if isinstance(result, Exception):
+                    raise result
+                yield result
+        finally:
+            for worker in started:
+                worker.terminate()
+                worker.join()

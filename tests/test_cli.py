@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -365,7 +366,7 @@ class TestVerify:
         assert done.stdout == "False\n0 False\n", done.stderr
 
     def test_zero_time_limit_does_not_import_multiprocessing(self, tmp_path):
-        # a spent budget truncates before a timed run would start its pool
+        # a spent budget truncates before a timed run would start a worker
         argv = ("--dmax", "2", "--nmax", "2", "--q", "--time-limit", "0")
         done = _import_check(tmp_path, *argv)
         assert done.stdout == "False\n3 False\n", done.stderr
@@ -382,7 +383,7 @@ class TestVerify:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_crashed_job_exits_4(self, capsys, monkeypatch, workers):
         # the lah checker runs out of memory on shape 2; with two workers
-        # the forked pool inherits the patched table
+        # the forked worker processes inherit the patched table
         lah = verify._CHECKERS[verify.IdentityId.LAH]
 
         def crash(shape, n_max):
@@ -406,11 +407,46 @@ class TestVerify:
         assert all(r["status"] == "pass" for r in reports)
         assert lines[-1] == '{"error":"MemoryError","identity":"lah","shape":[2]}'
         assert "MemoryError" in err
+        # a worker's traceback comes back as a note on its exception, which
+        # tracebacks show from Python 3.11 on
+        assert sys.version_info < (3, 11) or ", in crash\n" in err
+
+    @pytest.mark.parametrize("opts", [("1", "--time-limit", "5"), ("2",)])
+    def test_dead_worker_exits_4(self, capsys, monkeypatch, opts):
+        # the lah worker dies on shape 2: a crash (exit 4), not a spent
+        # budget (exit 3) or a hang, so the run goes on a daemon thread
+        lah = verify._CHECKERS[verify.IdentityId.LAH]
+
+        def dies(shape, n_max):
+            if shape == Shape((2,)):
+                os._exit(9)
+            return lah(shape, n_max)
+
+        monkeypatch.setitem(verify._CHECKERS, verify.IdentityId.LAH, dies)
+        argv = ["verify", "--dmax", "2", "--nmax", "2", "--identity", "lah"]
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(main([*argv, "--workers", *opts])),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive(), "verify hung on a dead worker"
+        captured = capsys.readouterr()
+        assert codes == [4]
+        lines = captured.out.splitlines()
+        assert json.loads(lines[0])["shape"] == [1]
+        assert lines[-1] == '{"error":"ChildProcessError","identity":"lah","shape":[2]}'
+        assert any(
+            line.startswith("ChildProcessError: ") and "exitcode=9" in line
+            for line in captured.err.splitlines()
+        )
 
     @pytest.mark.parametrize("limit", ["inf", "1e300"])
     def test_time_limit_beyond_timeout_max(self, capsys, limit):
-        # a budget longer than threading.TIMEOUT_MAX is served as untimed;
-        # the timed run goes through a one-process pool
+        # a budget longer than any wait can express (poll() takes at most
+        # 2**31 - 1 ms) gives the untimed stream; the timed run starts one
+        # worker process and waits for it in steps
         argv = ("verify", "--dmax", "1", "--nmax", "0", "--workers", "1")
         untimed = run_cli(capsys, *argv)
         assert untimed[0] == 0

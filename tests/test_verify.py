@@ -1,10 +1,10 @@
 import json
 import multiprocessing
 import os
+import signal
 import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +26,25 @@ from multiset_eulerian.verify import (
 from oracles import brute_chains
 
 SUITE_Q_REF = Path(__file__).resolve().parent.parent / "perfbench/ref/suite_q.jsonl"
+
+
+def _iterate_on_thread(run, seconds):
+    """Iterate `run` on a daemon thread for at most `seconds`; return the
+    reports it yielded and the exception that ended it, if any.  A run that
+    hangs fails the test instead of stalling the suite."""
+    reports, errors = [], []
+
+    def consume():
+        try:
+            reports.extend(run)
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=consume, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"the run did not end within {seconds} s"
+    return reports, errors[0] if errors else None
 
 
 class TestRegistry:
@@ -365,26 +384,19 @@ class TestSuite:
 
     def test_pool_starts_no_more_processes_than_jobs(self, monkeypatch):
         started = []
+        start = multiprocessing.Process.start
 
-        class FakePool:
-            def __init__(self, processes):
-                started.append(processes)
+        def counted_start(process):
+            started.append(process)
+            start(process)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def imap(self, fn, jobs):
-                results = map(fn, jobs)
-                return SimpleNamespace(next=lambda timeout: next(results))
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing.Process, "start", counted_start)
         jobs = suite_jobs(shapes=[Shape((1,)), Shape((2,))], identities=["lah"])
         reports = list(SuiteRun(jobs, workers=10**6))
-        assert started == [2]
+        assert len(started) == 2
         assert [r.shape for r in reports] == [Shape((1,)), Shape((2,))]
+        # every worker is reaped when the run ends
+        assert [p.exitcode for p in started] == [-signal.SIGTERM] * 2
 
     def test_zero_time_limit_truncates(self):
         run = SuiteRun(suite_jobs(d_max=2, n_max=2), time_limit=0.0)
@@ -407,8 +419,8 @@ class TestSuite:
         assert reports == []
 
     def test_serial_run_does_not_wait_for_running_job(self):
-        # the same job as above, run serially: a timed run goes through the
-        # pool, and terminating its one worker stops the job
+        # the same job as above, run serially: a timed run starts one
+        # worker, and terminating it stops the job
         start = time.monotonic()
         run = SuiteRun(
             [(IdentityId.DECOMP_SECOND, Shape((1,) * 8), 6)],
@@ -445,11 +457,6 @@ class TestSuite:
         assert run.truncated
         assert reports == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the pool never completes a lost task, so a dead worker "
-        "reads as a spent budget (ROADMAP item 1)",
-    )
     def test_dead_worker_is_an_error(self, monkeypatch):
         # the forked worker inherits the patched table and dies mid-job;
         # the run must end with an exception (the CLI's error line and
@@ -457,24 +464,69 @@ class TestSuite:
         monkeypatch.setitem(
             verify._CHECKERS, IdentityId.LAH, lambda shape, n_max: os._exit(1)
         )
-        run = SuiteRun([(IdentityId.LAH, Shape((1,)), 0)], workers=1, time_limit=0.5)
-        with pytest.raises(Exception):
+        start = time.monotonic()
+        run = SuiteRun([(IdentityId.LAH, Shape((1,)), 0)], workers=1, time_limit=5)
+        with pytest.raises(ChildProcessError, match="exitcode=1"):
             list(run)
+        assert time.monotonic() - start < 4
         assert not run.truncated
+
+    def test_dead_worker_ends_an_untimed_run(self, monkeypatch):
+        # without a budget there is no deadline to fall back on: the run
+        # must notice the death itself, so it runs on a daemon thread and
+        # a hang fails the test instead of stalling the suite
+        monkeypatch.setitem(
+            verify._CHECKERS, IdentityId.LAH, lambda shape, n_max: os._exit(9)
+        )
+        jobs = suite_jobs(shapes=[Shape((1,)), Shape((2,))], identities=["lah"])
+        reports, error = _iterate_on_thread(SuiteRun(jobs, workers=2), 5)
+        assert reports == []
+        assert isinstance(error, ChildProcessError)
+        assert "exitcode=9" in str(error)
+
+    def test_killed_worker_names_the_signal(self, monkeypatch):
+        def killed(shape, n_max):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setitem(verify._CHECKERS, IdentityId.LAH, killed)
+        run = SuiteRun([(IdentityId.LAH, Shape((2,)), 0)], workers=2)
+        reports, error = _iterate_on_thread(run, 5)
+        assert reports == []
+        assert isinstance(error, ChildProcessError)
+        assert "exitcode=-SIGKILL" in str(error)
+
+    def test_dead_worker_raises_at_its_place_in_the_order(self, monkeypatch):
+        # Two workers: job 0 is quick, job 1 sleeps, and job 2, handed to
+        # the worker that ran job 0, dies while job 1 is still running.
+        # Jobs 0 and 1 still stream, and the error belongs to job 2.
+        lah = verify._CHECKERS[IdentityId.LAH]
+
+        def checker(shape, n_max):
+            if shape == Shape((1, 1)):
+                time.sleep(0.5)
+            if shape == Shape((2,)):
+                os._exit(3)
+            return lah(shape, n_max)
+
+        monkeypatch.setitem(verify._CHECKERS, IdentityId.LAH, checker)
+        shapes = [Shape((1,)), Shape((1, 1)), Shape((2,)), Shape((3,))]
+        jobs = suite_jobs(shapes=shapes, identities=["lah"], n_max=1)
+        reports, error = _iterate_on_thread(SuiteRun(jobs, workers=2), 5)
+        assert [r.shape for r in reports] == shapes[:2]
+        assert all(r.passed for r in reports)
+        assert isinstance(error, ChildProcessError)
+        assert "exitcode=3" in str(error)
 
     def test_timed_serial_run_off_the_main_thread(self):
         # the decomp_second job above, iterated on a thread that cannot
-        # receive signals; the pool worker still stops at the deadline
+        # receive signals; the worker process still stops at the deadline
         run = SuiteRun(
             [(IdentityId.DECOMP_SECOND, Shape((1,) * 8), 6)],
             workers=1,
             time_limit=0.2,
         )
-        reports = []
-        thread = threading.Thread(target=lambda: reports.extend(run), daemon=True)
-        thread.start()
-        thread.join(5)
-        assert not thread.is_alive()
+        reports, error = _iterate_on_thread(run, 5)
+        assert error is None
         assert run.truncated
         assert reports == []
 
