@@ -13,7 +13,6 @@ from .combinatorics import (
     Word,
     chain_block_sizes,
     chain_major_index,
-    chain_to_partition,
     descent_set,
     format_chain,
     format_word,
@@ -22,7 +21,6 @@ from .combinatorics import (
     iter_permutations,
     iter_shapes,
     major_index,
-    partition_to_chain,
 )
 from .lattice import (
     chain_region_count,
@@ -58,6 +56,7 @@ from .verify import (
     CheckRecord,
     IdentityId,
     IdentityReport,
+    JobError,
     SuiteRun,
     check_identity,
     suite_jobs,
@@ -70,6 +69,7 @@ __all__ = [
     "CheckRecord",
     "IdentityId",
     "IdentityReport",
+    "JobError",
     "QPolynomial",
     "Row",
     "Shape",
@@ -83,7 +83,6 @@ __all__ = [
     "chain_block_sizes",
     "chain_major_index",
     "chain_region_count",
-    "chain_to_partition",
     "chain_weight_sum",
     "check_identity",
     "classify_first",
@@ -106,7 +105,6 @@ __all__ = [
     "lah_row",
     "major_index",
     "multinomial",
-    "partition_to_chain",
     "point_count",
     "q_binomial",
     "region_gf",

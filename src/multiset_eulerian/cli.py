@@ -46,7 +46,7 @@ from .numbers import (
     lah_row,
     stirling2_row_closed,
 )
-from .verify import SuiteRun, json_line, suite_jobs
+from .verify import JobError, SuiteRun, json_line, suite_jobs
 
 # table kind -> closed integer row
 _ROWS = {
@@ -249,7 +249,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 # reports arrive in job order, so the crashed job is the next
                 identity, shape, _ = jobs[completed]
                 error = {
-                    "error": type(exc).__name__,
+                    # a stand-in for an exception that could not travel
+                    # from its worker names the original type
+                    "error": exc.type_name
+                    if isinstance(exc, JobError)
+                    else type(exc).__name__,
                     "identity": identity.value,
                     "shape": list(shape.parts),
                 }

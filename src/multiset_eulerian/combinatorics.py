@@ -26,7 +26,6 @@ from typing import Iterator
 Word = tuple[int, ...]
 Vector = tuple[int, ...]
 Chain = tuple[Vector, ...]
-Blocks = tuple[Vector, ...]
 
 
 @dataclass(frozen=True)
@@ -202,26 +201,6 @@ def chain_block_sizes(chain: Chain) -> tuple[int, ...]:
         sizes.append(total - prev)
         prev = total
     return tuple(sizes)
-
-
-def chain_to_partition(chain: Chain) -> Blocks:
-    """Successive difference vectors: the ordered multiset partition."""
-    return tuple(
-        tuple(bj - aj for aj, bj in zip(a, b)) for a, b in zip(chain, chain[1:])
-    )
-
-
-def partition_to_chain(blocks: Blocks) -> Chain:
-    """Inverse of :func:`chain_to_partition` via partial sums."""
-    if not blocks:
-        raise ValueError("need at least one block")
-    acc = [0] * len(blocks[0])
-    chain = [tuple(acc)]
-    for block in blocks:
-        for j, b in enumerate(block):
-            acc[j] += b
-        chain.append(tuple(acc))
-    return tuple(chain)
 
 
 def word_prefix_contents(word: Word) -> tuple[Vector, ...]:

@@ -26,11 +26,13 @@ depth-first sweep over the letter factors, and tallies them into a
 running fiber table.  A point's key and coordinate sum do not depend on
 the dilation level, so a caller walking the levels n = 0, 1, ... in turn
 classifies each point once, at the first level that contains it, and
-after level n holds the table of every point of level n.  A node of the
-sweep at depth m carries the sorted (value, letter) pairs of the tuples
-chosen for the first m letters and their coordinate sum, so each factor
-tuple's pairs and sum are built once and a child only merges one tuple
-into its parent's sorted list.  :func:`classify_first` and
+after level n holds the table of every point of level n.  Each
+coordinate is coded as one integer that sorts by value descending, then
+by letter.  A node of the sweep at depth m carries the sorted integer
+codes of the tuples chosen for the first m letters and their coordinate
+sum, so each factor tuple's codes and sum are built once and a child only
+merges one tuple into its parent's sorted list; a leaf builds its point's
+key from the codes in place.  :func:`classify_first` and
 :func:`classify_second` are the one-point case of the same sweep.
 """
 
@@ -39,10 +41,16 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .combinatorics import Chain, Shape, Word, chain_block_sizes, descent_set
+from .combinatorics import (
+    Chain,
+    Shape,
+    Vector,
+    Word,
+    chain_block_sizes,
+    descent_set,
+)
 from .qpoly import ONE, ZERO, QPolynomial, binomial, multinomial, q_binomial
 
 Point = tuple[tuple[int, ...], ...]
@@ -93,39 +101,14 @@ def validate_point(point: Point, shape: Shape, n: int) -> None:
             raise ValueError(f"factor {j} is not weakly decreasing: {xs}")
 
 
-def _reading_word(pairs: list[tuple[int, int]], letters: int) -> Word:
-    """Reading word of a point's (-value, letter) pairs, sorted ascending.
-    `letters` is unused; it keeps the signature of :func:`_content_chain`.
-
-    Equal values within one letter are interchangeable, so their order
-    never changes the word.  The tie order makes the classification
-    total and forces a strict value drop at every descent of the
-    resulting word, which is the half-open region condition: pairs with
-    equal values are sorted by ascending letter, so wherever the letter
-    drops the value drops strictly.
-    """
-    return tuple(map(itemgetter(1), pairs))
-
-
-def _content_chain(pairs: list[tuple[int, int]], letters: int) -> Chain:
-    """Chain of a point's (-value, letter) pairs, sorted ascending, with
-    letters numbered from 0.
-
-    The top value class may sit at the dilation bound and the bottom one
-    at 0; only the gaps between classes are strict, so the number of
-    blocks k is simply the number of distinct coordinate values.
-    """
-    content = [0] * letters
-    chain = [tuple(content)]
-    if pairs:
-        current = pairs[0][0]
-        for minus_v, j in pairs:
-            if minus_v != current:
-                chain.append(tuple(content))
-                current = minus_v
-            content[j] += 1
-        chain.append(tuple(content))
-    return tuple(chain)
+def _vertex(x: int, radix: int, letters: int) -> Vector:
+    """Content vector whose digits, least significant first, in radix
+    `radix` are the integer `x`."""
+    digits = []
+    for _ in range(letters):
+        x, digit = divmod(x, radix)
+        digits.append(digit)
+    return tuple(digits)
 
 
 def _sweep(
@@ -142,34 +125,79 @@ def _sweep(
     Returns the number of points classified.  The stack holds at most one
     entry per tuple of each factor, never the points; the last factor's
     tuples are merged in at the leaves.
+
+    A coordinate of value v of letter j (numbered from 1) is coded as the
+    integer (N - v) * (L + 1) + j, where N is the largest value and L the
+    number of letters, so sorting the codes orders the coordinates by
+    value descending, then by letter; equal values of one letter share a
+    code, as they are interchangeable.  The tie order makes the
+    classification total and forces a strict value drop at every descent
+    of the reading word, which is the half-open region condition.
+
+    The reading word maps each sorted code to its letter.  The chain keeps
+    the running content as one integer, one digit per letter in radix
+    max(parts) + 1, and reads off a vertex wherever the value drops; the
+    top class may sit at the dilation bound and the bottom one at 0, so
+    the number of blocks is the number of distinct values.
     """
     first = kind == "first"
-    leaf = _reading_word if first else _content_chain
-    # each tuple's sorted pairs, coordinate sum and whether it holds `top`
-    # (its first, largest value), built once per letter; letters are
-    # numbered from 1 in a word, from 0 as content indices
-    levels = [
-        [(sorted([(-v, j) for v in xs]), sum(xs), xs[:1] == (top,)) for xs in tuples]
-        for j, tuples in enumerate(factors, start=1 if first else 0)
-    ]
+    letters = len(factors)
+    width = letters + 1  # codes of one value: one per letter, 1..L
+    parts = tuple(len(tuples[0]) for tuples in factors)
+    radix = max(parts, default=0) + 1
+    largest = max((xs[0] for tuples in factors for xs in tuples if xs), default=0)
+    # code -> its letter (first kind) or what its letter adds to the content
+    # integer (second kind); only the codes that occur, so a point with a
+    # huge value costs no more table than its coordinates
+    table = {}
+    # per letter, each tuple's codes, ascending, its coordinate sum and
+    # whether it holds `top` (its first, largest value), built once
+    levels = []
+    for j, tuples in enumerate(factors, start=1):
+        step = j if first else radix ** (j - 1)
+        level = []
+        for xs in tuples:
+            keyed = [(largest - v) * width + j for v in xs]
+            table.update(dict.fromkeys(keyed, step))
+            level.append((keyed, sum(xs), xs[:1] == (top,)))
+        levels.append(level)
+    letter_of = table.__getitem__
+    # content integer -> its vertex, built as met, so every chain shares
+    # the vertex tuples; a chain runs from 0 up to the full content `parts`
+    vertices = {0: (0,) * letters}
     last = levels.pop() if levels else [([], 0, False)]
     last_top = [entry for entry in last if entry[2]]
-    letters = len(factors)
     total = 0
     # a node is new once one of its tuples holds `top` (from the root when
     # there is no `top`); a node that is not new by the last letter visits
     # only that letter's tuples that hold it
     stack = [([], 0, 0, top is None)]
     while stack:
-        pairs, s, depth, new = stack.pop()
+        codes, s, depth, new = stack.pop()
         if depth < len(levels):
             for keyed, t, has_top in levels[depth]:
-                stack.append((sorted(pairs + keyed), s + t, depth + 1, new or has_top))
+                stack.append((sorted(codes + keyed), s + t, depth + 1, new or has_top))
             continue
         for keyed, t, _ in last if new else last_top:
-            merged = pairs + keyed
+            merged = codes + keyed
             merged.sort()
-            key = leaf(merged, letters)
+            if first:
+                key = tuple(map(letter_of, merged))
+            else:
+                chain = []
+                x = 0
+                bound = 0  # the first code opens a class at the zero vertex
+                for c in merged:
+                    if c >= bound:
+                        try:
+                            vertex = vertices[x]
+                        except KeyError:
+                            vertex = vertices[x] = _vertex(x, radix, letters)
+                        chain.append(vertex)
+                        bound = c - c % width + width  # the next value's codes
+                    x += table[c]
+                chain.append(parts)
+                key = tuple(chain)
             bucket = fibers.get(key)
             if bucket is None:
                 bucket = fibers[key] = {}

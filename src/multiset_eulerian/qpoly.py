@@ -128,9 +128,6 @@ class QPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "QPolynomial | int") -> "QPolynomial":
-        return (-self) + other
-
     def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
         if isinstance(other, int):
             if other == 0 or not self.coeffs:
@@ -169,10 +166,6 @@ class QPolynomial:
     def to_coeff_strings(self) -> list[str]:
         """Coefficients as decimal strings, ascending degree."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_coeff_strings(cls, items: Iterable[str]) -> "QPolynomial":
-        return cls(int(s) for s in items)
 
     def __repr__(self) -> str:
         return f"QPolynomial({list(self.coeffs)!r})"

@@ -28,7 +28,9 @@ reports are yielded in that order, so the report stream is byte-identical
 for any worker count.  Only an untimed run with one worker stays
 in-process, and it never imports `multiprocessing`.  Every other run starts
 its own worker processes and terminates them at the deadline; a worker
-that dies mid-job is a crash, never a timeout or a hang.
+that dies mid-job is a crash, never a timeout or a hang.  A job's
+exception that cannot travel from its worker comes back as a `JobError`
+stand-in, so it too is raised at that job's place in the order.
 """
 
 from __future__ import annotations
@@ -418,14 +420,39 @@ def suite_jobs(
     return [(i, s, n_max) for i in selected for s in shape_list]
 
 
+class JobError(Exception):
+    """Stand-in for a job's exception that cannot travel from its worker to
+    the run: one that cannot be pickled, or that pickles but cannot be
+    rebuilt.  `type_name` and the message are the original's."""
+
+    def __init__(self, type_name: str, message: str) -> None:
+        super().__init__(type_name, message)
+        self.type_name = type_name
+
+    def __str__(self) -> str:
+        return f"{self.type_name}: {self.args[1]}"
+
+
 def _serve(conn, jobs: Sequence[Job]) -> None:
-    """Worker loop: answer each job index with its report or its exception."""
-    import traceback  # in the worker only
+    """Worker loop: answer each job index with its report or its exception.
+
+    An exception is sent only if it survives a pickle round trip, and
+    otherwise as a `JobError`, so the run can always read its job's result.
+    """
+    import pickle  # in the worker only
+    import traceback
+
     while True:
         try:
             conn.send(check_identity(*jobs[conn.recv()]))
         except Exception as exc:
             exc.__notes__ = [traceback.format_exc()]  # pickling keeps a note
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                stand_in = JobError(type(exc).__name__, str(exc))
+                stand_in.__notes__ = exc.__notes__
+                exc = stand_in
             conn.send(exc)
 
 

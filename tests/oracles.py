@@ -5,6 +5,9 @@ logic that shares no code with the package implementations: permutations
 come from deduplicated itertools permutations, chains from filtered
 vertex sequences, partition counts from a direct recursive enumeration.
 
+Cyclotomic polynomials and the remainder modulo a monic polynomial give
+exact evaluations at roots of unity, for the cyclic sieving checks.
+
 The region-membership tests and the enumerated generating functions at
 the end are cross-checks of the package's closed forms: they walk the
 package's own point and word enumerators and test each point directly.
@@ -68,6 +71,42 @@ def brute_q_binomial_coeffs(n: int, k: int) -> tuple[int, ...]:
     for s, c in tally.items():
         out[s] = c
     return tuple(out)
+
+
+def _divide_monic(
+    coeffs: tuple[int, ...], monic: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer coefficient lists, lowest degree
+    first, by long division; a monic divisor keeps them integers."""
+    rem = list(coeffs)
+    deg = len(monic) - 1
+    quotient = [0] * max(len(rem) - deg, 0)
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        quotient[top - deg] = c
+        for i, m in enumerate(monic):
+            rem[top - deg + i] -= c * m
+    return quotient, rem[:deg]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial, lowest degree
+    first: q**m - 1 divided by every cyclotomic polynomial of a proper
+    divisor of m."""
+    coeffs = (-1,) + (0,) * (m - 1) + (1,)
+    for e in range(1, m):
+        if m % e == 0:
+            quotient, rem = _divide_monic(coeffs, cyclotomic(e))
+            assert not any(rem)
+            coeffs = tuple(quotient)
+    return coeffs
+
+
+def remainder_mod_cyclotomic(poly: QPolynomial, m: int) -> QPolynomial:
+    """`poly` modulo the m-th cyclotomic polynomial: its value at a
+    primitive m-th root of unity, as a polynomial of degree below phi(m)."""
+    return QPolynomial(_divide_monic(poly.coeffs, cyclotomic(m))[1])
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class PairError(Exception):
+    """Pickles by its args, one message, but its __init__ takes two
+    arguments, so it cannot be rebuilt from its pickle."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _pair_error(shape, n_max):
+    raise PairError(1, 2)
+
+
+def _lambda_error(shape, n_max):
+    raise ValueError(lambda: None)  # a lambda cannot be pickled
+
+
 def _import_check(tmp_path, *argv):
     """Run `verify *argv --workers 1` in a fresh interpreter.  Its stdout
     says whether `multiprocessing` was loaded after importing the CLI and
@@ -410,6 +426,32 @@ class TestVerify:
         # a worker's traceback comes back as a note on its exception, which
         # tracebacks show from Python 3.11 on
         assert sys.version_info < (3, 11) or ", in crash\n" in err
+
+    @pytest.mark.parametrize("opts", [("1", "--time-limit", "5"), ("2",)])
+    @pytest.mark.parametrize(
+        "checker, name", [(_pair_error, "PairError"), (_lambda_error, "ValueError")]
+    )
+    def test_exception_that_cannot_travel_lands_on_its_job(
+        self, capsys, monkeypatch, opts, checker, name
+    ):
+        # the worker sends a stand-in named after the original type; the
+        # passing stirling2 reports stream first, then the lah job's error
+        monkeypatch.setitem(verify._CHECKERS, verify.IdentityId.LAH, checker)
+        code, out, err = run_cli(
+            capsys,
+            "verify", "--dmax", "2", "--nmax", "1",
+            "--identity", "stirling2,lah", "--workers", *opts,
+        )
+        assert code == 4
+        lines = out.splitlines()
+        reports = [json.loads(line) for line in lines[:-1]]
+        assert [(r["identity"], r["shape"]) for r in reports] == [
+            ("stirling2", [1]), ("stirling2", [2]), ("stirling2", [1, 1]),
+        ]
+        assert all(r["status"] == "pass" for r in reports)
+        assert lines[-1] == f'{{"error":"{name}","identity":"lah","shape":[1]}}'
+        assert f"JobError: {name}: " in err
+        assert sys.version_info < (3, 11) or f", in {checker.__name__}\n" in err
 
     @pytest.mark.parametrize("opts", [("1", "--time-limit", "5"), ("2",)])
     def test_dead_worker_exits_4(self, capsys, monkeypatch, opts):

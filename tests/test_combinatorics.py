@@ -9,7 +9,6 @@ from multiset_eulerian.combinatorics import (
     Shape,
     chain_block_sizes,
     chain_major_index,
-    chain_to_partition,
     descent_set,
     format_chain,
     format_word,
@@ -18,7 +17,6 @@ from multiset_eulerian.combinatorics import (
     iter_permutations,
     iter_shapes,
     major_index,
-    partition_to_chain,
 )
 from multiset_eulerian.qpoly import binomial, multinomial
 from oracles import (
@@ -154,15 +152,6 @@ class TestChains:
         diag = ((0, 0), (1, 1))
         assert chain_major_index(diag) == 0
         assert chain_block_sizes(diag) == (2,)
-
-    def test_partition_round_trip(self):
-        assert chain_to_partition(((0, 0), (1, 0), (2, 1))) == ((1, 0), (1, 1))
-        assert partition_to_chain(((1, 0), (1, 1))) == ((0, 0), (1, 0), (2, 1))
-        for shape in iter_shapes(5):
-            for chain in iter_all_chains(shape):
-                blocks = chain_to_partition(chain)
-                assert all(any(b > 0 for b in block) for block in blocks)
-                assert partition_to_chain(blocks) == chain
 
 
 class TestChainsOfWord:

@@ -169,51 +169,81 @@ class TestClassifierOracles:
         assert classify_first(()) == brute_classify_first(()) == ()
         assert classify_second(()) == brute_classify_second(()) == ((),)
 
+    def test_huge_values(self):
+        # a coordinate's code grows with the largest value, its tables do not
+        point = ((10**18, 10**18, 0), (7,), (10**18 - 1,))
+        assert classify_first(point) == brute_classify_first(point)
+        assert classify_second(point) == brute_classify_second(point)
+
+
+_ORACLES = {"first": brute_classify_first, "second": brute_classify_second}
+
+
+def _oracle_table(kind, shape, n, new_only):
+    """Point count and fiber table of level n from the enumerated points,
+    their brute-force keys and a plain coordinate sum; with `new_only`,
+    only the points whose largest coordinate is n."""
+    count = 0
+    fibers = {}
+    for point in iter_points(shape, n):
+        values = [v for xs in point for v in xs]
+        if new_only and max(values) != n:
+            continue
+        bucket = fibers.setdefault(_ORACLES[kind](point), {})
+        s = sum(values)
+        bucket[s] = bucket.get(s, 0) + 1
+        count += 1
+    return count, fibers
+
+
+def _check_levels(kind, shape, n_max):
+    # each level alone, tallied into an empty table, holds the points
+    # whose largest coordinate is n
+    for n in range(n_max + 1):
+        table = {}
+        new = classify_new_points(kind, shape, n, table)
+        assert (new, table) == _oracle_table(kind, shape, n, new_only=True)
+
+
+def _check_running(kind, shape, n_max):
+    # the levels tallied into one running table leave, after level n, the
+    # table of every point of level n
+    fibers = {}
+    total = 0
+    for n in range(n_max + 1):
+        new = classify_new_points(kind, shape, n, fibers)
+        # point_count(shape, -1) is 0: level 0 is all new
+        assert new == point_count(shape, n) - point_count(shape, n - 1)
+        total += new
+        assert (total, fibers) == _oracle_table(kind, shape, n, new_only=False)
+
 
 class TestSweep:
     def test_matches_point_by_point_oracles(self):
-        # one level tallied into an empty table gives the total and fibers
-        # built from the enumerated points whose largest coordinate is n,
-        # their brute-force keys and a plain coordinate sum
-        oracles = {"first": brute_classify_first, "second": brute_classify_second}
         for shape in iter_shapes(5):
-            for n in range(4):
-                for kind, oracle in oracles.items():
-                    total = 0
-                    fibers = {}
-                    for point in iter_points(shape, n):
-                        if max((v for xs in point for v in xs), default=0) != n:
-                            continue
-                        bucket = fibers.setdefault(oracle(point), {})
-                        s = sum(v for xs in point for v in xs)
-                        bucket[s] = bucket.get(s, 0) + 1
-                        total += 1
-                    table = {}
-                    assert classify_new_points(kind, shape, n, table) == total
-                    assert table == fibers
+            for kind in _ORACLES:
+                _check_levels(kind, shape, 3)
 
     def test_running_table_equals_full_sweep(self):
-        # tallying each level's new points into one running table leaves,
-        # after level n, the total and fibers built from every enumerated
-        # point of level n, its brute-force key and a plain coordinate sum
-        oracles = {"first": brute_classify_first, "second": brute_classify_second}
         for shape in iter_shapes(5):
-            for kind, oracle in oracles.items():
-                fibers = {}
-                total = 0
-                for n in range(5):
-                    new = classify_new_points(kind, shape, n, fibers)
-                    # point_count(shape, -1) is 0: level 0 is all new
-                    assert new == point_count(shape, n) - point_count(shape, n - 1)
-                    total += new
-                    count = 0
-                    expected = {}
-                    for point in iter_points(shape, n):
-                        bucket = expected.setdefault(oracle(point), {})
-                        s = sum(v for xs in point for v in xs)
-                        bucket[s] = bucket.get(s, 0) + 1
-                        count += 1
-                    assert (total, fibers) == (count, expected)
+            for kind in _ORACLES:
+                _check_running(kind, shape, 4)
+
+    @pytest.mark.parametrize("kind", list(_ORACLES))
+    @pytest.mark.parametrize(
+        "parts, n_max",
+        [
+            ((2, 1), 10),  # values up to 10, several codes per value
+            ((3,), 10),
+            ((1,) * 10, 1),  # ten and eleven letters
+            ((1,) * 11, 1),
+            ((5, 1), 4),  # a content digit above the letter count
+            ((1, 5), 4),
+        ],
+    )
+    def test_integer_codes_at_their_edges(self, kind, parts, n_max):
+        _check_levels(kind, Shape(parts), n_max)
+        _check_running(kind, Shape(parts), n_max)
 
     def test_validation(self):
         with pytest.raises(ValueError):

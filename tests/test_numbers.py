@@ -16,13 +16,14 @@ from multiset_eulerian.numbers import (
     stirling2_row_enum,
     stirling2_row_solve,
 )
-from multiset_eulerian.qpoly import QPolynomial, multinomial
+from multiset_eulerian.qpoly import ONE, ZERO, QPolynomial, multinomial
 from oracles import (
     EULERIAN_CLASSICAL,
     FUBINI,
     brute_eulerian_row,
     iter_chains_of_word,
     ordered_partition_count,
+    remainder_mod_cyclotomic,
     stirling_second,
 )
 
@@ -240,3 +241,31 @@ class TestQFamilies:
             row = lah_row(shape)
             for k in range(1, shape.size + 1):
                 assert fam.value(k)(1) == row.value(k)
+
+
+class TestIndependentQChecks:
+    def test_cyclic_sieving_on_words(self):
+        # Reiner, Stanton and White: the words' major-index polynomial, the
+        # summed A row, takes at a primitive m-th root of unity (m | d) the
+        # number of words that rotating by d/m places fixes
+        for shape in iter_shapes(7):
+            d = shape.size
+            total = sum(a_polynomials(shape).values, ZERO)
+            words = list(iter_permutations(shape))
+            for m in range(1, d + 1):
+                if d % m:
+                    continue
+                step = d // m
+                fixed = sum(1 for w in words if w[step:] + w[:step] == w)
+                assert remainder_mod_cyclotomic(total, m) == fixed, (shape, m)
+
+    def test_q_binomial_theorem(self):
+        # Andrews, ch. 3: cutting a word anywhere, the summed C row is the
+        # multinomial times the product of (1 + q^i) over the d - 1 gaps,
+        # with no Gaussian binomial involved
+        for shape in iter_shapes(7):
+            product = ONE
+            for i in range(1, shape.size):
+                product = product * (ONE + QPolynomial.monomial(1, i))
+            total = sum(c_polynomials(shape).values, ZERO)
+            assert total == product * multinomial(shape.parts), shape
