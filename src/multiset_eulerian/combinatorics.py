@@ -15,12 +15,17 @@ Neither recurses, so a shape deeper than the recursion limit is served:
 `iter_chains` walks an explicit stack of vertex frames and completes
 each chain's last two vertices at C level, from a memoised list per
 vertex joined to the prefix by `map`.
+
+`chain_classes` tallies a shape's chains once into block-size classes: a
+chain's block count, major index and q-weight depend on its block sizes
+alone, so the chain statistics read the classes instead of the chains.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 Word = tuple[int, ...]
@@ -187,8 +192,38 @@ def iter_all_chains(shape: Shape) -> Iterator[Chain]:
         yield from iter_chains(shape, k)
 
 
+# bounded memory: `verify --dmax 6 --nmax 6 --q` fills 63 entries, one per
+# shape, each of at most 2^(d-1) classes, and the 255 shapes of a `--dmax 8`
+# run still fit; `SuiteRun` clears it when a run starts
+@lru_cache(maxsize=256)
+def chain_classes(shape: Shape) -> tuple[tuple[tuple[int, ...], Chain, int], ...]:
+    """The shape's chains of every dimension, grouped by block sizes.
+
+    One pass over `iter_all_chains`; each class is a triple (block sizes,
+    first chain with them, number of chains with them), in the order the
+    classes are first seen.  The block count is the length of the sizes
+    and the major index is a function of them (see `chain_major_index`),
+    so a class's count stands for every chain in it.  The result is a
+    tuple, so no caller can alter what a later one reads.
+    """
+    classes: dict[tuple[int, ...], list] = {}
+    for chain in iter_all_chains(shape):
+        sizes = chain_block_sizes(chain)
+        entry = classes.get(sizes)
+        if entry is None:
+            classes[sizes] = [chain, 1]
+        else:
+            entry[1] += 1
+    return tuple((sizes, rep, count) for sizes, (rep, count) in classes.items())
+
+
 def chain_major_index(chain: Chain) -> int:
-    """Sum of coordinate totals over the internal vertices."""
+    """Sum of coordinate totals over the internal vertices.
+
+    With block sizes b_1, ..., b_k the internal totals are the partial sums
+    S_j = b_1 + ... + b_j, so the major index is S_1 + ... + S_{k-1}
+    (Stanley, *EC1* §3.15): it depends on the block sizes alone.
+    """
     return sum(map(sum, chain[1:-1]))
 
 

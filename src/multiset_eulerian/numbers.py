@@ -7,7 +7,11 @@ statistic (`eulerian_row_enum`, `stirling2_row_enum`, `a_polynomials`,
 (`eulerian_row_closed`, `stirling2_row_closed`, `lah_row`,
 `c_polynomials_closed`), and a triangular solve against dilation point
 counts (`eulerian_row_solve`, `stirling2_row_solve`).  The verification
-layer exercises exactly this redundancy, so no two routes share code.
+layer exercises exactly this redundancy, so no two routes share code.  The
+two chain enumerations, `stirling2_row_enum` and `b_polynomials`, read the
+same table of block-size classes (`chain_classes`), filled by one pass over
+the shape's chains; the closed and solve routes still share no code with
+them.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 
 from .combinatorics import (
     Shape,
+    chain_classes,
     chain_major_index,
     descent_set,
-    iter_chains,
     iter_permutations,
     word_prefix_contents,
 )
@@ -92,10 +96,10 @@ def eulerian_row_solve(shape: Shape) -> Row:
 
 def stirling2_row_enum(shape: Shape) -> Row:
     """Count ordered multiset partitions per block number by enumerating
-    the corresponding chains."""
-    values = [
-        sum(1 for _ in iter_chains(shape, k)) for k in range(1, shape.size + 1)
-    ]
+    the corresponding chains, tallied by their block-size classes."""
+    values = [0] * shape.size
+    for sizes, _, count in chain_classes(shape):
+        values[len(sizes) - 1] += count
     return Row(shape, 1, tuple(values))
 
 
@@ -176,17 +180,17 @@ def b_polynomials(shape: Shape) -> Row:
 
     The major index of a chain is the sum of its internal vertex
     coordinate totals; at q = 1 each polynomial reduces to the ordered
-    partition count.
+    partition count.  Those totals are the partial sums of the block
+    sizes, so every chain of a block-size class has the major index of the
+    class's first chain, and the tally adds it once per class, weighted
+    by the class's count.  The sum is exact: every chain is enumerated.
     """
-    d = shape.size
-    values = []
-    for k in range(1, d + 1):
-        tally: dict[int, int] = {}
-        for chain in iter_chains(shape, k):
-            maj = chain_major_index(chain)
-            tally[maj] = tally.get(maj, 0) + 1
-        values.append(QPolynomial.from_exponent_counts(tally))
-    return Row(shape, 1, tuple(values))
+    tallies: list[dict[int, int]] = [{} for _ in range(shape.size)]
+    for sizes, rep, count in chain_classes(shape):
+        tally = tallies[len(sizes) - 1]
+        maj = chain_major_index(rep)
+        tally[maj] = tally.get(maj, 0) + count
+    return Row(shape, 1, tuple(QPolynomial.from_exponent_counts(t) for t in tallies))
 
 
 def c_polynomials(shape: Shape) -> Row:

@@ -23,6 +23,10 @@ coordinate is n, and a level's table is the running table.  Every level
 compares every word's or chain's fiber in it against values computed once
 per class.
 
+The three chain identities (stirling2, stirling2_q, chain_q_corrected)
+read one table of block-size classes per shape, `chain_classes`.  A run
+clears it when it starts, so it enumerates each shape's chains once.
+
 Suite runs are deterministic: jobs are ordered by (identity, shape) and
 reports are yielded in that order, so the report stream is byte-identical
 for any worker count.  Only an untimed run with one worker stays
@@ -45,8 +49,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .combinatorics import (
     Shape,
     chain_block_sizes,
+    chain_classes,
     descent_set,
-    iter_all_chains,
     iter_chains,
     iter_permutations,
     iter_shapes,
@@ -224,18 +228,15 @@ def _expansion(lhs, row, basis) -> Checker:
 
 def _prepare_chain_q(shape: Shape) -> Level:
     # A chain's weight is a function of its block sizes alone, so the
-    # per-chain sum is regrouped exactly: one weight per block-size tuple,
-    # taken from a representative chain, times the number of chains with
-    # that tuple.  Every chain is still enumerated.
-    groups: dict[tuple[int, ...], list] = {}
-    for chain in iter_all_chains(shape):
-        group = groups.setdefault(chain_block_sizes(chain), [chain, 0])
-        group[1] += 1
+    # per-chain sum is regrouped exactly: one weight per block-size class,
+    # taken from its first chain, times the number of chains in the class.
+    # Every chain is still enumerated, once per shape per run.
+    classes = chain_classes(shape)
 
     def level(n: int) -> CheckRecord:
         lhs = f1(shape, n)
         rhs = QPolynomial()
-        for rep, count in groups.values():
+        for _, rep, count in classes:
             rhs = rhs + chain_weight_sum(rep, n) * count
         return CheckRecord(n, lhs, rhs, lhs == rhs)
 
@@ -483,6 +484,10 @@ class SuiteRun:
 
     def __iter__(self) -> Iterator[IdentityReport]:
         start = time.monotonic()
+        # a run starts with no chain classes: a serial run enumerates each
+        # shape's chains once, in its first chain job, and each worker the
+        # shapes it meets; none reads a table from an earlier run
+        chain_classes.cache_clear()
         if not self.jobs or self.workers == 1 and self.time_limit is None:
             for job in self.jobs:
                 yield check_identity(*job)

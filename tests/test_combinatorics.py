@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from multiset_eulerian.combinatorics import (
     Shape,
     chain_block_sizes,
+    chain_classes,
     chain_major_index,
     descent_set,
     format_chain,
@@ -152,6 +153,58 @@ class TestChains:
         diag = ((0, 0), (1, 1))
         assert chain_major_index(diag) == 0
         assert chain_block_sizes(diag) == (2,)
+
+
+def _block_sizes(chain):
+    # differences of the vertex totals, computed here rather than by the
+    # package
+    totals = [sum(v) for v in chain]
+    return tuple(b - a for a, b in zip(totals, totals[1:]))
+
+
+class TestChainClasses:
+    def test_groups_the_reference_chains_by_block_sizes(self):
+        # classes in first-seen order, each with its first chain and count
+        for shape in iter_shapes(6):
+            expected: dict = {}
+            for k in range(1, shape.size + 1):
+                for chain in recursive_chains(shape, k):
+                    entry = expected.setdefault(_block_sizes(chain), [chain, 0])
+                    entry[1] += 1
+            classes = chain_classes(shape)
+            assert [(s, [r, c]) for s, r, c in classes] == list(expected.items())
+            for sizes, rep, _ in classes:
+                assert _block_sizes(rep) == chain_block_sizes(rep) == sizes
+
+    def test_counts_per_block_count_match_partition_oracle(self):
+        for shape in iter_shapes(6):
+            totals = [0] * shape.size
+            for sizes, _, count in chain_classes(shape):
+                totals[len(sizes) - 1] += count
+            expected = [
+                ordered_partition_count(shape.parts, k)
+                for k in range(1, shape.size + 1)
+            ]
+            assert totals == expected, shape
+
+    def test_result_is_immutable(self):
+        classes = chain_classes(Shape((2, 1)))
+        assert isinstance(classes, tuple)
+        assert all(isinstance(c, tuple) for c in classes)
+        assert classes == (
+            ((3,), ((0, 0), (2, 1)), 1),
+            ((1, 2), ((0, 0), (0, 1), (2, 1)), 2),
+            ((2, 1), ((0, 0), (1, 1), (2, 1)), 2),
+            ((1, 1, 1), ((0, 0), (0, 1), (1, 1), (2, 1)), 3),
+        )
+
+    def test_major_index_is_a_partial_sum_of_block_sizes(self):
+        # the fact the regrouping relies on: maj = S_1 + ... + S_{k-1}
+        for shape in iter_shapes(6):
+            for k in range(1, shape.size + 1):
+                for chain in recursive_chains(shape, k):
+                    partial = list(itertools.accumulate(_block_sizes(chain)))
+                    assert chain_major_index(chain) == sum(partial[:-1]), chain
 
 
 class TestChainsOfWord:

@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from multiset_eulerian.combinatorics import Shape, iter_permutations, iter_shapes
+from multiset_eulerian.combinatorics import (
+    Shape,
+    chain_major_index,
+    iter_permutations,
+    iter_shapes,
+)
 from multiset_eulerian.numbers import (
     a_polynomials,
     b_polynomials,
@@ -23,6 +28,7 @@ from oracles import (
     brute_eulerian_row,
     iter_chains_of_word,
     ordered_partition_count,
+    recursive_chains,
     remainder_mod_cyclotomic,
     stirling_second,
 )
@@ -220,6 +226,29 @@ class TestQFamilies:
             row = stirling2_row_enum(shape)
             for k in range(1, shape.size + 1):
                 assert fam.value(k)(1) == row.value(k)
+
+    def test_b_matches_per_chain_tally(self):
+        # b_polynomials tallies one major index per block-size class; here
+        # every chain of the reference enumerator is tallied on its own
+        for shape in iter_shapes(6):
+            expected = []
+            for k in range(1, shape.size + 1):
+                tally: dict[int, int] = {}
+                for chain in recursive_chains(shape, k):
+                    maj = chain_major_index(chain)
+                    tally[maj] = tally.get(maj, 0) + 1
+                expected.append(QPolynomial.from_exponent_counts(tally))
+            assert b_polynomials(shape).values == tuple(expected), shape
+
+    def test_b_at_one_is_closed_stirling(self):
+        # the closed route shares no code with the chain enumeration; every
+        # shape with d <= 7, and those with d = 8 and at most 3 parts (0.8
+        # million chains; all of d <= 8 would be 9.7 million)
+        for shape in iter_shapes(8):
+            if shape.size == 8 and shape.letters > 3:
+                continue
+            at_one = tuple(p(1) for p in b_polynomials(shape).values)
+            assert at_one == stirling2_row_closed(shape).values, shape
 
     def test_c_frozen(self):
         fam = c_polynomials(Shape((1, 1)))

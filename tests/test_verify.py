@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from multiset_eulerian import lattice, verify
+from multiset_eulerian import combinatorics, lattice, verify
 from multiset_eulerian.combinatorics import (
     Shape,
     chain_block_sizes,
+    chain_classes,
     descent_set,
     iter_shapes,
 )
@@ -23,7 +24,7 @@ from multiset_eulerian.verify import (
     check_identity,
     suite_jobs,
 )
-from oracles import brute_chains
+from oracles import brute_chains, ordered_partition_count
 
 SUITE_Q_REF = Path(__file__).resolve().parent.parent / "perfbench/ref/suite_q.jsonl"
 
@@ -355,8 +356,13 @@ class TestSuite:
         assert [r for r in reports if r.expected and not r.passed] == []
 
     def test_caches_are_bounded_and_do_not_evict(self):
-        # a serial d <= 4 run with every identity fits the three caches
-        caches = (q_binomial, lattice._strict_weight, lattice._factor_points)
+        # a serial d <= 4 run with every identity fits the four caches
+        caches = (
+            q_binomial,
+            lattice._strict_weight,
+            lattice._factor_points,
+            chain_classes,
+        )
         for cache in caches:
             cache.cache_clear()
         run = SuiteRun(suite_jobs(d_max=4, n_max=6, include_q=True))
@@ -367,6 +373,34 @@ class TestSuite:
             info = cache.cache_info()
             assert isinstance(info.maxsize, int)
             assert info.misses == info.currsize < info.maxsize
+
+    def test_chains_are_enumerated_once_per_shape_per_run(self, monkeypatch):
+        # the three chain identities read one class table per shape, and a
+        # run starts without the tables of an earlier one
+        yielded = []
+        enumerate_all = combinatorics.iter_all_chains
+
+        def counted(shape):
+            for chain in enumerate_all(shape):
+                yielded.append(chain)
+                yield chain
+
+        monkeypatch.setattr(combinatorics, "iter_all_chains", counted)
+        jobs = suite_jobs(
+            d_max=4,
+            n_max=3,
+            identities=["stirling2", "stirling2_q", "chain_q_corrected"],
+        )
+        chains = sum(
+            ordered_partition_count(shape.parts, k)
+            for shape in iter_shapes(4)
+            for k in range(1, shape.size + 1)
+        )
+        for runs in (1, 2):
+            run = SuiteRun(jobs)
+            assert all(r.passed or not r.expected for r in run)
+            assert not run.truncated
+            assert len(yielded) == runs * chains
 
     def test_worker_pool_matches_serial(self):
         jobs = suite_jobs(d_max=2, n_max=3, include_q=True)
