@@ -17,8 +17,8 @@ each chain's last two vertices at C level, from a memoised list per
 vertex joined to the prefix by `map`.
 
 `chain_classes` tallies a shape's chains once into block-size classes: a
-chain's block count, major index and q-weight depend on its block sizes
-alone, so the chain statistics read the classes instead of the chains.
+chain's major index and q-weight depend on its block sizes alone, so the
+q-statistics of chains read the classes instead of the chains.
 """
 
 from __future__ import annotations
@@ -194,7 +194,9 @@ def iter_all_chains(shape: Shape) -> Iterator[Chain]:
 
 # bounded memory: `verify --dmax 6 --nmax 6 --q` fills 63 entries, one per
 # shape, each of at most 2^(d-1) classes, and the 255 shapes of a `--dmax 8`
-# run still fit; `SuiteRun` clears it when a run starts
+# run still fit; `SuiteRun` clears it when a run starts.  Jobs run identity
+# by identity, so a run over more than 256 shapes evicts each table before
+# its next reader and gets no reuse: each reader groups the shape again.
 @lru_cache(maxsize=256)
 def chain_classes(shape: Shape) -> tuple[tuple[tuple[int, ...], Chain, int], ...]:
     """The shape's chains of every dimension, grouped by block sizes.
@@ -203,18 +205,22 @@ def chain_classes(shape: Shape) -> tuple[tuple[tuple[int, ...], Chain, int], ...
     first chain with them, number of chains with them), in the order the
     classes are first seen.  The block count is the length of the sizes
     and the major index is a function of them (see `chain_major_index`),
-    so a class's count stands for every chain in it.  The result is a
+    so a class's count stands for every chain in it.  The pass keys each
+    chain by its vertex totals, which run from 0 to d and determine the
+    block sizes; the sizes are computed once per class.  The result is a
     tuple, so no caller can alter what a later one reads.
     """
     classes: dict[tuple[int, ...], list] = {}
     for chain in iter_all_chains(shape):
-        sizes = chain_block_sizes(chain)
-        entry = classes.get(sizes)
+        totals = tuple(map(sum, chain))
+        entry = classes.get(totals)
         if entry is None:
-            classes[sizes] = [chain, 1]
+            classes[totals] = [chain, 1]
         else:
             entry[1] += 1
-    return tuple((sizes, rep, count) for sizes, (rep, count) in classes.items())
+    return tuple(
+        (chain_block_sizes(rep), rep, count) for rep, count in classes.values()
+    )
 
 
 def chain_major_index(chain: Chain) -> int:

@@ -7,11 +7,11 @@ statistic (`eulerian_row_enum`, `stirling2_row_enum`, `a_polynomials`,
 (`eulerian_row_closed`, `stirling2_row_closed`, `lah_row`,
 `c_polynomials_closed`), and a triangular solve against dilation point
 counts (`eulerian_row_solve`, `stirling2_row_solve`).  The verification
-layer exercises exactly this redundancy, so no two routes share code.  The
-two chain enumerations, `stirling2_row_enum` and `b_polynomials`, read the
-same table of block-size classes (`chain_classes`), filled by one pass over
-the shape's chains; the closed and solve routes still share no code with
-them.
+layer exercises exactly this redundancy, so no two routes share code.
+`b_polynomials` reads the table of block-size classes (`chain_classes`)
+that `verify`'s chain_q_corrected check also reads, so a run fills it
+once per shape; `stirling2_row_enum` counts the chains without grouping
+them, and the closed and solve routes share no code with either.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .combinatorics import (
     chain_classes,
     chain_major_index,
     descent_set,
+    iter_chains,
     iter_permutations,
     word_prefix_contents,
 )
@@ -96,10 +97,15 @@ def eulerian_row_solve(shape: Shape) -> Row:
 
 def stirling2_row_enum(shape: Shape) -> Row:
     """Count ordered multiset partitions per block number by enumerating
-    the corresponding chains, tallied by their block-size classes."""
-    values = [0] * shape.size
-    for sizes, _, count in chain_classes(shape):
-        values[len(sizes) - 1] += count
+    the corresponding chains.
+
+    A plain count: grouping the chains into `chain_classes` costs about
+    three times their enumeration, and a run of the integer identities
+    has no other reader of that table to share it with.
+    """
+    values = [
+        sum(1 for _ in iter_chains(shape, k)) for k in range(1, shape.size + 1)
+    ]
     return Row(shape, 1, tuple(values))
 
 

@@ -23,9 +23,10 @@ coordinate is n, and a level's table is the running table.  Every level
 compares every word's or chain's fiber in it against values computed once
 per class.
 
-The three chain identities (stirling2, stirling2_q, chain_q_corrected)
-read one table of block-size classes per shape, `chain_classes`.  A run
-clears it when it starts, so it enumerates each shape's chains once.
+The two q-identities of chains (stirling2_q, chain_q_corrected) read one
+table of block-size classes per shape, `chain_classes`.  A run clears it
+when it starts, so a serial run groups each shape's chains once.  The
+integer identity stirling2 counts the chains without grouping them.
 
 Suite runs are deterministic: jobs are ordered by (identity, shape) and
 reports are yielded in that order, so the report stream is byte-identical
@@ -230,7 +231,7 @@ def _prepare_chain_q(shape: Shape) -> Level:
     # A chain's weight is a function of its block sizes alone, so the
     # per-chain sum is regrouped exactly: one weight per block-size class,
     # taken from its first chain, times the number of chains in the class.
-    # Every chain is still enumerated, once per shape per run.
+    # Every chain is still enumerated; stirling2_q reads the same table.
     classes = chain_classes(shape)
 
     def level(n: int) -> CheckRecord:
@@ -484,9 +485,9 @@ class SuiteRun:
 
     def __iter__(self) -> Iterator[IdentityReport]:
         start = time.monotonic()
-        # a run starts with no chain classes: a serial run enumerates each
-        # shape's chains once, in its first chain job, and each worker the
-        # shapes it meets; none reads a table from an earlier run
+        # a run starts with no chain classes: a serial run groups each
+        # shape's chains once, in the first job that reads them, and each
+        # worker the shapes it meets; none reads a table from an earlier run
         chain_classes.cache_clear()
         if not self.jobs or self.workers == 1 and self.time_limit is None:
             for job in self.jobs:

@@ -375,8 +375,9 @@ class TestSuite:
             assert info.misses == info.currsize < info.maxsize
 
     def test_chains_are_enumerated_once_per_shape_per_run(self, monkeypatch):
-        # the three chain identities read one class table per shape, and a
-        # run starts without the tables of an earlier one
+        # the two q-identities of chains read one class table per shape, a
+        # run starts without the tables of an earlier one, and stirling2
+        # counts its chains without grouping them
         yielded = []
         enumerate_all = combinatorics.iter_all_chains
 
@@ -401,6 +402,9 @@ class TestSuite:
             assert all(r.passed or not r.expected for r in run)
             assert not run.truncated
             assert len(yielded) == runs * chains
+        jobs = suite_jobs(d_max=4, n_max=3, identities=["stirling2"])
+        assert all(r.passed for r in SuiteRun(jobs))
+        assert len(yielded) == 2 * chains
 
     def test_worker_pool_matches_serial(self):
         jobs = suite_jobs(d_max=2, n_max=3, include_q=True)
