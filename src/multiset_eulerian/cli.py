@@ -93,13 +93,13 @@ def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]
     return point
 
 
-def _positive_int(raw: str, source: str) -> int:
+def _positive_int(raw: str) -> int:
     try:
         if int(raw) >= 1:
             return int(raw)
     except ValueError:
         pass
-    raise UsageError(f"{source} must be a positive integer, got {raw!r}")
+    raise UsageError(f"--workers must be a positive integer, got {raw!r}")
 
 
 @contextmanager
@@ -218,7 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("need --dmax or --shape")
     if args.identity is not None:
         identities = [tok.strip() for tok in args.identity.split(",") if tok.strip()]
-    workers = _positive_int(args.workers, "--workers")
+    workers = _positive_int(args.workers)
     try:
         jobs = suite_jobs(
             d_max=args.dmax,

@@ -19,9 +19,8 @@ or chains are enumerated once and grouped into classes whose members
 share their closed count and closed q-weight.  Each job also keeps one
 running table of lattice-point fibers: a point is classified at the first
 level that contains it, so level n adds only the points whose largest
-coordinate is n, and a level's table is the running table.  Every level
-compares every word's or chain's fiber in it against values computed once
-per class.
+coordinate is n, and a level's table is the running table.  One pass
+over the classes checks that it is the table the closed forms predict.
 
 The two q-identities of chains (stirling2_q, chain_q_corrected) read one
 table of block-size classes per shape, `chain_classes`.  A run clears it
@@ -32,10 +31,10 @@ Suite runs are deterministic: jobs are ordered by (identity, shape) and
 reports are yielded in that order, so the report stream is byte-identical
 for any worker count.  Only an untimed run with one worker stays
 in-process, and it never imports `multiprocessing`.  Every other run starts
-its own worker processes and terminates them at the deadline; a worker
-that dies mid-job is a crash, never a timeout or a hang.  A job's
-exception that cannot travel from its worker comes back as a `JobError`
-stand-in, so it too is raised at that job's place in the order.
+its own worker processes, sends each one job tuple at a time over its
+pipe, and terminates them at the deadline; a worker that dies mid-job is
+a crash, never a timeout or a hang.  A job's exception that cannot travel
+comes back as a `JobError` stand-in, raised at that job's place in order.
 """
 
 from __future__ import annotations
@@ -118,8 +117,8 @@ class IdentityId(str, Enum):
 class CheckRecord:
     """Both sides of one comparison at a single dilation level.
 
-    For decomposition oracles `equal` also covers the per-fiber count
-    and q-weight comparisons, not only the recorded totals.
+    For decomposition oracles `equal` also covers the whole fiber table
+    (see `_fiber_level`), not only the recorded totals.
     """
 
     n: int
@@ -252,9 +251,9 @@ def _fiber_level(shape: Shape, kind: str, classes: Callable) -> Level:
     level n, so the table then holds every point of level n, each
     classified once, at the first level that contains it.  `classes(n)`
     yields each class of words or chains with the closed count and
-    q-weight that all its members share; every member's fiber in the
-    running table is compared with them, and the level fails if the table
-    holds a fiber that no member matched.
+    q-weight that all its members share.  Each class's q-weight must sum
+    to its count, each member of a class with a nonzero weight must have
+    exactly that weight as its fiber, and the table must hold no other.
     """
     fibers: Fibers = {}
     total = 0
@@ -264,22 +263,19 @@ def _fiber_level(shape: Shape, kind: str, classes: Callable) -> Level:
         total += classify_new_points(kind, shape, n, fibers)
         expected_total = point_count(shape, n)
         ok = total == expected_total
-        matched = 0
+        size = 0  # members with a nonempty fiber
         for members, count, weight in classes(n):
-            # a fiber's tally holds only positive counts, so it equals the
-            # closed q-weight exactly when it equals its nonzero coefficients
+            if sum(weight.coeffs) != count:
+                ok = False
+            # tallies hold only positive counts and members are distinct
+            # keys, so with the size check below the table is the predicted one
             closed = {e: c for e, c in enumerate(weight.coeffs) if c}
-            for key in members:
-                tally = fibers.get(key)
-                if tally is None:
-                    tally = {}
-                else:
-                    matched += 1
-                if sum(tally.values()) != count or tally != closed:
-                    ok = False
-        if matched != len(fibers):
-            # a point was classified into a fiber that enumeration never
-            # produced at this level
+            if closed:
+                size += len(members)
+                for key in members:
+                    if fibers.get(key) != closed:
+                        ok = False
+        if size != len(fibers):
             ok = False
         return CheckRecord(n, expected_total, total, ok)
 
@@ -313,8 +309,8 @@ def _prepare_decomp_second(shape: Shape) -> Level:
     def classes(n: int):
         # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
         # points and weight zero.  Those chains are not visited; a point
-        # classified into one is a fiber no member matches, which fails
-        # the record.
+        # classified into one is a fiber the closed forms do not predict,
+        # so the table is larger than predicted and the record fails.
         for k in range(1, min(shape.size, n + 1) + 1):
             if k == len(by_k):
                 groups: dict[tuple[int, ...], list] = {}
@@ -435,8 +431,8 @@ class JobError(Exception):
         return f"{self.type_name}: {self.args[1]}"
 
 
-def _serve(conn, jobs: Sequence[Job]) -> None:
-    """Worker loop: answer each job index with its report or its exception.
+def _serve(conn) -> None:
+    """Worker loop: answer each job received with its report or exception.
 
     An exception is sent only if it survives a pickle round trip, and
     otherwise as a `JobError`, so the run can always read its job's result.
@@ -446,7 +442,7 @@ def _serve(conn, jobs: Sequence[Job]) -> None:
 
     while True:
         try:
-            conn.send(check_identity(*jobs[conn.recv()]))
+            conn.send(check_identity(*conn.recv()))
         except Exception as exc:
             exc.__notes__ = [traceback.format_exc()]  # pickling keeps a note
             try:
@@ -502,18 +498,18 @@ class SuiteRun:
         from multiprocessing import Pipe, Process
         from multiprocessing.connection import wait
 
-        started = []  # every worker, joined on every way out
+        started = []  # every worker and its pipe, reaped on every way out
         running = {}  # pipe -> (worker, index of its job)
         results: dict = {}  # index -> report or exception, until yielded
         handed = min(self.workers, len(self.jobs))  # jobs handed out so far
         try:
             for job in range(handed):
                 pipe, child = Pipe()
-                worker = Process(target=_serve, args=(child, self.jobs), daemon=True)
+                worker = Process(target=_serve, args=(child,), daemon=True)
                 worker.start()
                 child.close()
-                started.append(worker)
-                pipe.send(job)
+                started.append((worker, pipe))
+                pipe.send(self.jobs[job])
                 running[pipe] = worker, job
             for index in range(len(self.jobs)):
                 while index not in results:
@@ -536,7 +532,7 @@ class SuiteRun:
                             continue
                         if handed < len(self.jobs):
                             with suppress(OSError):  # its sentinel tells a death
-                                pipe.send(handed)
+                                pipe.send(self.jobs[handed])
                             running[pipe] = worker, handed
                             handed += 1
                 result = results.pop(index)
@@ -544,6 +540,8 @@ class SuiteRun:
                     raise result
                 yield result
         finally:
-            for worker in started:
+            # each pipe outlives its worker, so an idle worker never reads EOF
+            for worker, pipe in started:
                 worker.terminate()
                 worker.join()
+                pipe.close()

@@ -396,6 +396,7 @@ class TestVerify:
         marker = json.loads(lines[-1])
         assert marker == {"truncated": True, "completed": 0, "total": 15}
 
+    @pytest.mark.usefixtures("fork_workers")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_crashed_job_exits_4(self, capsys, monkeypatch, workers):
         # the lah checker runs out of memory on shape 2; with two workers
@@ -427,6 +428,7 @@ class TestVerify:
         # tracebacks show from Python 3.11 on
         assert sys.version_info < (3, 11) or ", in crash\n" in err
 
+    @pytest.mark.usefixtures("fork_workers")
     @pytest.mark.parametrize("opts", [("1", "--time-limit", "5"), ("2",)])
     @pytest.mark.parametrize(
         "checker, name", [(_pair_error, "PairError"), (_lambda_error, "ValueError")]
@@ -453,6 +455,7 @@ class TestVerify:
         assert f"JobError: {name}: " in err
         assert sys.version_info < (3, 11) or f", in {checker.__name__}\n" in err
 
+    @pytest.mark.usefixtures("fork_workers")
     @pytest.mark.parametrize("opts", [("1", "--time-limit", "5"), ("2",)])
     def test_dead_worker_exits_4(self, capsys, monkeypatch, opts):
         # the lah worker dies on shape 2: a crash (exit 4), not a spent

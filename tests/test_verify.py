@@ -26,7 +26,21 @@ from multiset_eulerian.verify import (
 )
 from oracles import brute_chains, ordered_partition_count
 
-SUITE_Q_REF = Path(__file__).resolve().parent.parent / "perfbench/ref/suite_q.jsonl"
+REF = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
+
+# each benchmark workload's `suite_jobs` selection and worker count; a
+# workload over listed shapes has one reference stream per shape
+WORKLOADS = {
+    "suite_q": (dict(d_max=5, n_max=6, include_q=True), 2),
+    "decomp_points": (dict(n_max=4, identities=["decomp_first", "decomp_second"]), 1),
+    "chain_q": (
+        dict(
+            n_max=2,
+            identities=["stirling2", "stirling2_q", "lah_q", "chain_q_corrected"],
+        ),
+        1,
+    ),
+}
 
 
 def _iterate_on_thread(run, seconds):
@@ -106,7 +120,7 @@ def _also_classify_origin_into(monkeypatch, key):
     the fiber `key` at level 0, where the origin is first classified,
     leaving the new-point count and the fibers it found as they are; the
     extra tally stays in the running table.  A key the oracle never visits
-    is then caught only by the leftover-fiber check."""
+    is then caught only by the comparison of the table's size."""
     walk = verify.classify_new_points
 
     def classify(kind, shape, n, fibers):
@@ -257,6 +271,22 @@ class TestPassingIdentities:
                 records = check_identity(identity, shape, 4).records
             assert [r.equal for r in records] == [True] * at + [False] * (5 - at)
             assert records[at].rhs == lattice.point_count(shape, at) + step
+
+    @pytest.mark.parametrize(
+        "identity, closed",
+        [
+            (IdentityId.DECOMP_FIRST, "region_point_count"),
+            (IdentityId.DECOMP_SECOND, "chain_region_count"),
+        ],
+    )
+    def test_wrong_closed_count_fails_its_level(self, monkeypatch, identity, closed):
+        # every fiber still equals its closed q-weight and the totals still
+        # agree; only each class's closed count is off by one
+        count = getattr(verify, closed)
+        monkeypatch.setattr(verify, closed, lambda *args: count(*args) + 1)
+        records = check_identity(identity, Shape((1, 1)), 1).records
+        assert [r.equal for r in records] == [False, False]
+        assert all(r.lhs == r.rhs for r in records)
 
     def test_shape_with_many_copies_of_one_letter(self):
         # 1200 copies of one letter, deeper than the recursion limit
@@ -414,11 +444,26 @@ class TestSuite:
             r.to_json_line() for r in pooled
         ]
 
-    def test_suite_q_reference_stream(self):
-        # every identity over every shape with d <= 5, pinned byte for byte
-        run = SuiteRun(suite_jobs(d_max=5, n_max=6, include_q=True), workers=2)
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "suite_q",
+            "decomp_points.2-2-2-1",
+            "decomp_points.1-1-1-1-1-1",
+            "chain_q.3-2-2-1",
+            "chain_q.3-3-1-1",
+        ],
+    )
+    def test_reference_stream(self, name):
+        # each benchmark workload's output, pinned byte for byte
+        workload, _, parts = name.partition(".")
+        selection, workers = WORKLOADS[workload]
+        if parts:
+            shape = Shape(tuple(int(p) for p in parts.split("-")))
+            selection = dict(selection, shapes=[shape])
+        run = SuiteRun(suite_jobs(**selection), workers=workers)
         stream = "".join(r.to_json_line() + "\n" for r in run)
-        assert stream == SUITE_Q_REF.read_text()
+        assert stream == (REF / f"{name}.jsonl").read_text()
 
     def test_pool_starts_no_more_processes_than_jobs(self, monkeypatch):
         started = []
@@ -435,6 +480,29 @@ class TestSuite:
         assert [r.shape for r in reports] == [Shape((1,)), Shape((2,))]
         # every worker is reaped when the run ends
         assert [p.exitcode for p in started] == [-signal.SIGTERM] * 2
+
+    def test_idle_worker_waits_to_be_terminated(self, monkeypatch):
+        # A spawned worker holds only its own end of its pipe.  The second
+        # and third workers answer their quick jobs while the first is still
+        # busy; they must wait idle until the run ends and terminates all
+        # three, not read the end of a closed pipe and exit on an error
+        spawn = multiprocessing.get_context("spawn").Process
+        started = []
+        start = spawn.start
+
+        def counted_start(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(spawn, "start", counted_start)
+        monkeypatch.setattr(multiprocessing, "Process", spawn)
+        jobs = [
+            (IdentityId.DECOMP_SECOND, Shape((1,) * 7), 4),  # about 0.4 s
+            (IdentityId.LAH, Shape((1,)), 0),
+            (IdentityId.LAH, Shape((2,)), 0),
+        ]
+        assert all(r.passed for r in SuiteRun(jobs, workers=3))
+        assert [p.exitcode for p in started] == [-signal.SIGTERM] * 3
 
     def test_zero_time_limit_truncates(self):
         run = SuiteRun(suite_jobs(d_max=2, n_max=2), time_limit=0.0)
@@ -470,7 +538,8 @@ class TestSuite:
         assert run.truncated
         assert reports == []
 
-    def test_serial_timer_fires_again_after_a_finalizer(self, monkeypatch):
+    @pytest.mark.usefixtures("fork_workers")
+    def test_run_ends_on_time_while_a_job_sits_in_a_finalizer(self, monkeypatch):
         # The budget runs out while the job sits in a finalizer, and the
         # job goes on after it.  Terminating the worker stops the job
         # wherever it is, so the run still ends on time.
@@ -495,6 +564,7 @@ class TestSuite:
         assert run.truncated
         assert reports == []
 
+    @pytest.mark.usefixtures("fork_workers")
     def test_dead_worker_is_an_error(self, monkeypatch):
         # the forked worker inherits the patched table and dies mid-job;
         # the run must end with an exception (the CLI's error line and
@@ -509,6 +579,7 @@ class TestSuite:
         assert time.monotonic() - start < 4
         assert not run.truncated
 
+    @pytest.mark.usefixtures("fork_workers")
     def test_dead_worker_ends_an_untimed_run(self, monkeypatch):
         # without a budget there is no deadline to fall back on: the run
         # must notice the death itself, so it runs on a daemon thread and
@@ -522,6 +593,7 @@ class TestSuite:
         assert isinstance(error, ChildProcessError)
         assert "exitcode=9" in str(error)
 
+    @pytest.mark.usefixtures("fork_workers")
     def test_killed_worker_names_the_signal(self, monkeypatch):
         def killed(shape, n_max):
             os.kill(os.getpid(), signal.SIGKILL)
@@ -533,6 +605,7 @@ class TestSuite:
         assert isinstance(error, ChildProcessError)
         assert "exitcode=-SIGKILL" in str(error)
 
+    @pytest.mark.usefixtures("fork_workers")
     def test_dead_worker_raises_at_its_place_in_the_order(self, monkeypatch):
         # Two workers: job 0 is quick, job 1 sleeps, and job 2, handed to
         # the worker that ran job 0, dies while job 1 is still running.
