@@ -3,21 +3,26 @@
 Subcommands: ``table`` renders integer rows, ``qtable`` renders rows of
 q-polynomial coefficients, ``verify`` streams identity reports as JSON
 lines, and ``classify`` classifies a single lattice point.  Exit codes:
-0 success, 1 unexpected identity failure, 2 usage error, 3 resource
-truncation, 4 a job crashed or its worker died (``verify`` ends its
-stream with an ``error`` line naming the exception, identity and shape).
+0 success, 1 unexpected identity failure, 2 usage error or an output that
+cannot be written, 3 resource truncation, 4 a job crashed or its worker
+died (``verify`` ends its stream with an ``error`` line naming the
+exception, identity and shape).
 
 Every input is served or rejected with exit code 2, never with a
-traceback.  Usage errors include a shape that ``Shape.parse`` rejects,
-an ``--output`` that cannot be opened for writing, and a ``verify``
-selection that would check nothing, such as an empty ``--identity``.
-A ``--time-limit`` of ``inf``, or too long for any wait to express, is
-served as an untimed run.
+traceback.  Usage errors include a shape that ``Shape.parse`` rejects
+and a ``verify`` selection that would check nothing, such as an empty
+``--identity``.  A ``--time-limit`` of ``inf``, or too long for any wait
+to express, is served as an untimed run.  The exit codes of usage errors
+and failed writes are decided in ``main``: an ``--output`` that cannot
+be opened, or an output on a full device, ends the command with one
+``error:`` line.
 
 Each command, row kind and option is declared once: a subparser names
-its command function with ``set_defaults(run=...)``, the row kinds are
-the keys of ``_ROWS`` and ``_FAMILIES``, and every command writes
-through ``_sink``.  Job selection rules live in ``verify.suite_jobs``.
+its command function with ``set_defaults(run=...)``, ``table`` and
+``qtable`` are one row command, ``_cmd_row``, given their row kinds
+(``_ROWS``, ``_FAMILIES``) with ``set_defaults(rows=...)``, and every
+command writes through ``_sink``.  Job selection rules live in
+``verify.suite_jobs``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from typing import Iterator, Sequence, TextIO
 
 from .combinatorics import (
@@ -104,16 +109,14 @@ def _positive_int(raw: str) -> int:
 
 @contextmanager
 def _sink(path: "str | None") -> Iterator[TextIO]:
-    """The command's output: the file at `path`, else standard output.  A
-    file that cannot be opened for writing is a usage error."""
+    """The command's output: the file at `path`, else standard output,
+    flushed before the command returns so that a failed write raises
+    inside `main`."""
     if path is None:
         yield sys.stdout
+        sys.stdout.flush()
         return
-    try:
-        fh = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot write --output {path!r}: {exc.strerror}") from None
-    with fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         yield fh
 
 
@@ -131,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", parents=[row], help="integer row for one shape")
     table.add_argument("--kind", required=True, choices=_ROWS)
-    table.set_defaults(run=_cmd_table)
+    table.set_defaults(run=_cmd_row, rows=_ROWS)
 
     qtable = sub.add_parser(
         "qtable", parents=[row], help="q-polynomial row for one shape"
     )
     qtable.add_argument("--kind", required=True, choices=_FAMILIES)
-    qtable.set_defaults(run=_cmd_qtable)
+    qtable.set_defaults(run=_cmd_row, rows=_FAMILIES)
 
     verify = sub.add_parser(
         "verify", parents=[output], help="run identity checks as JSON lines"
@@ -174,39 +177,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_rows(args: argparse.Namespace, shape: Shape, rows: list[dict]) -> None:
+def _cmd_row(args: argparse.Namespace) -> int:
     """Write a table or qtable row: one JSON document, or one CSV line per
-    entry with list values joined by spaces."""
+    entry with list values joined by spaces.  An integer entry carries its
+    value, a q-polynomial entry its coefficients and its value at q = 1."""
+    shape = _parse_shape(args.shape)
+    row = args.rows[args.kind](shape)
+    entries = [
+        {"index": i, "value": str(v)}
+        if isinstance(v, int)
+        else {"index": i, "coefficients": v.to_coeff_strings(), "at_q1": str(v(1))}
+        for i, v in enumerate(row.values, row.start)
+    ]
     with _sink(args.output) as out:
         if args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["shape", *rows[0]])
-            for r in rows:
-                cells = (" ".join(c) if isinstance(c, list) else c for c in r.values())
+            writer.writerow(["shape", *entries[0]])
+            for entry in entries:
+                cells = (
+                    " ".join(c) if isinstance(c, list) else c for c in entry.values()
+                )
                 writer.writerow([str(shape), *cells])
         else:
-            doc = {"shape": list(shape.parts), "kind": args.kind, "rows": rows}
+            doc = {"shape": list(shape.parts), "kind": args.kind, "rows": entries}
             out.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    shape = _parse_shape(args.shape)
-    row = _ROWS[args.kind](shape)
-    rows = [
-        {"index": i, "value": str(v)} for i, v in enumerate(row.values, row.start)
-    ]
-    _write_rows(args, shape, rows)
-    return 0
-
-
-def _cmd_qtable(args: argparse.Namespace) -> int:
-    shape = _parse_shape(args.shape)
-    row = _FAMILIES[args.kind](shape)
-    rows = [
-        {"index": i, "coefficients": poly.to_coeff_strings(), "at_q1": str(poly(1))}
-        for i, poly in enumerate(row.values, row.start)
-    ]
-    _write_rows(args, shape, rows)
     return 0
 
 
@@ -232,10 +226,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    with _sink(args.output) as out:
+    # closing the reports reaps the workers, also when a write fails
+    with _sink(args.output) as out, closing(iter(run)) as reports:
         unexpected = False
         completed = 0
-        reports = iter(run)
         while True:
             # only the run's own exceptions are caught; a failed write,
             # such as a broken pipe, still propagates
@@ -305,6 +299,9 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -28,6 +28,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+__all__ = [
+    "Chain",
+    "Shape",
+    "Word",
+    "chain_block_sizes",
+    "chain_major_index",
+    "descent_set",
+    "format_chain",
+    "format_word",
+    "iter_all_chains",
+    "iter_chains",
+    "iter_permutations",
+    "iter_shapes",
+    "major_index",
+]
+
 Word = tuple[int, ...]
 Vector = tuple[int, ...]
 Chain = tuple[Vector, ...]

@@ -53,6 +53,22 @@ from .combinatorics import (
 )
 from .qpoly import ONE, ZERO, QPolynomial, binomial, multinomial, q_binomial
 
+__all__ = [
+    "chain_region_count",
+    "chain_weight_sum",
+    "classify_first",
+    "classify_new_points",
+    "classify_second",
+    "coordinate_sum",
+    "f1",
+    "f2",
+    "iter_points",
+    "point_count",
+    "region_gf",
+    "region_point_count",
+    "validate_point",
+]
+
 Point = tuple[tuple[int, ...], ...]
 # fiber key (word or chain) -> {coordinate sum: number of points}
 Fibers = dict[tuple, dict[int, int]]

@@ -8,16 +8,19 @@ statistic (`eulerian_row_enum`, `stirling2_row_enum`, `a_polynomials`,
 `c_polynomials_closed`), and a triangular solve against dilation point
 counts (`eulerian_row_solve`, `stirling2_row_solve`).  The verification
 layer exercises exactly this redundancy, so no two routes share code.
-`b_polynomials` reads the table of block-size classes (`chain_classes`)
-that `verify`'s chain_q_corrected check also reads, so a run fills it
-once per shape; `stirling2_row_enum` counts the chains without grouping
-them, and the closed and solve routes share no code with either.
+The two solve routes share one forward substitution, `_forward_solve`,
+and differ only in the basis they pass it.  `b_polynomials` reads the
+table of block-size classes (`chain_classes`) that `verify`'s
+chain_q_corrected check also reads, so a run fills it once per shape;
+`stirling2_row_enum` counts the chains without grouping them, and the
+closed and solve routes share no code with either.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .combinatorics import (
     Shape,
@@ -30,6 +33,21 @@ from .combinatorics import (
 )
 from .lattice import point_count
 from .qpoly import QPolynomial, binomial, multinomial, q_binomial
+
+__all__ = [
+    "Row",
+    "a_polynomials",
+    "b_polynomials",
+    "c_polynomials",
+    "c_polynomials_closed",
+    "eulerian_row_closed",
+    "eulerian_row_enum",
+    "eulerian_row_solve",
+    "lah_row",
+    "stirling2_row_closed",
+    "stirling2_row_enum",
+    "stirling2_row_solve",
+]
 
 
 @dataclass(frozen=True)
@@ -78,21 +96,26 @@ def eulerian_row_closed(shape: Shape) -> Row:
     )
 
 
+def _forward_solve(shape: Shape, basis: Callable[[int, int], int]) -> tuple[int, ...]:
+    """Solve point_count(shape, n) = sum over i <= n of row[i] * basis(n, i)
+    for n = 0..d-1 by forward substitution.
+
+    Each basis has basis(n, n) = 1, so the system is unit lower triangular
+    and the solve is exact integer arithmetic with no division.
+    """
+    row: list[int] = []
+    for n in range(shape.size):
+        row.append(
+            point_count(shape, n) - sum(row[i] * basis(n, i) for i in range(n))
+        )
+    return tuple(row)
+
+
 def eulerian_row_solve(shape: Shape) -> Row:
     """Recover the descent-count row by forward substitution on Worpitzky's
-    identity, whose right-hand sides are the point counts at n = 0..d-1.
-
-    The system is unit lower triangular (diagonal C(d, d) = 1), so the
-    solve is exact integer arithmetic with no division.
-    """
+    identity, point_count(shape, n) = sum over i of row[i] * C(n - i + d, d)."""
     d = shape.size
-    row: list[int] = []
-    for n in range(d):
-        row.append(
-            point_count(shape, n)
-            - sum(row[i] * binomial(n - i + d, d) for i in range(n))
-        )
-    return Row(shape, 0, tuple(row))
+    return Row(shape, 0, _forward_solve(shape, lambda n, i: binomial(n - i + d, d)))
 
 
 def stirling2_row_enum(shape: Shape) -> Row:
@@ -141,18 +164,9 @@ def stirling2_row_closed(shape: Shape, variant: str = "corrected") -> Row:
 
 def stirling2_row_solve(shape: Shape) -> Row:
     """Recover the ordered partition row by forward substitution on
-    point_count(shape, n) = sum over k of row[k] * C(n + 1, k), n = 0..d-1.
-
-    The system is unit lower triangular (diagonal C(n+1, n+1) = 1), so
-    the solve is exact integer arithmetic with no division.
-    """
-    row: list[int] = []
-    for n in range(shape.size):
-        row.append(
-            point_count(shape, n)
-            - sum(row[k - 1] * binomial(n + 1, k) for k in range(1, n + 1))
-        )
-    return Row(shape, 1, tuple(row))
+    point_count(shape, n) = sum over k of row[k] * C(n + 1, k); entry i of
+    the solved tuple is block count k = i + 1."""
+    return Row(shape, 1, _forward_solve(shape, lambda n, i: binomial(n + 1, i + 1)))
 
 
 def lah_row(shape: Shape) -> Row:

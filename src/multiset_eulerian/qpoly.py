@@ -13,6 +13,13 @@ import math
 from functools import lru_cache
 from typing import Iterable, Mapping
 
+__all__ = [
+    "QPolynomial",
+    "binomial",
+    "multinomial",
+    "q_binomial",
+]
+
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), zero outside 0 <= k <= n.

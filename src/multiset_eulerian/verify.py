@@ -76,6 +76,16 @@ from .numbers import (
 )
 from .qpoly import QPolynomial, binomial, multinomial, q_binomial
 
+__all__ = [
+    "CheckRecord",
+    "IdentityId",
+    "IdentityReport",
+    "JobError",
+    "SuiteRun",
+    "check_identity",
+    "suite_jobs",
+]
+
 
 class IdentityId(str, Enum):
     """Registered identities and decomposition oracles, in registry order.
@@ -515,15 +525,14 @@ class SuiteRun:
                 while index not in results:
                     # poll() rejects a wait above 2**31 - 1 ms (24.8 days)
                     timeout = min(2e6, max(0.0, deadline - time.monotonic()))
-                    sentinels = [w.sentinel for w, _ in running.values()]
-                    ready = wait([*running, *sentinels], timeout)
+                    # a worker holds the only other end of its pipe, so a
+                    # dead worker's pipe is ready and reads EOF
+                    ready = wait(list(running), timeout)
                     if not ready and time.monotonic() >= deadline:
                         self.truncated = True
                         return
-                    for pipe, (worker, job) in list(running.items()):
-                        if pipe not in ready and worker.sentinel not in ready:
-                            continue
-                        del running[pipe]
+                    for pipe in ready:
+                        worker, job = running.pop(pipe)
                         try:
                             results[job] = pipe.recv()
                         except (EOFError, OSError):
@@ -531,7 +540,7 @@ class SuiteRun:
                             results[job] = ChildProcessError(f"{worker!r} died mid-job")
                             continue
                         if handed < len(self.jobs):
-                            with suppress(OSError):  # its sentinel tells a death
+                            with suppress(OSError):  # its pipe then reads EOF
                                 pipe.send(self.jobs[handed])
                             running[pipe] = worker, handed
                             handed += 1

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -36,6 +37,28 @@ def _pair_error(shape, n_max):
 
 def _lambda_error(shape, n_max):
     raise ValueError(lambda: None)  # a lambda cannot be pickled
+
+
+# a device on which every write fails with ENOSPC
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs /dev/full"
+)
+_FULL_DEVICE = [
+    pytest.param(
+        ("verify", "--shape", "2,1", "--nmax", "1", "--identity", "decomp_first"),
+        id="verify",
+    ),
+    pytest.param(
+        ("verify", "--dmax", "3", "--nmax", "2", "--workers", "2"),
+        id="verify-workers-2",
+    ),
+    pytest.param(("table", "--shape", "2,1", "--kind", "lah"), id="table"),
+    pytest.param(("qtable", "--shape", "2,1", "--kind", "C"), id="qtable"),
+    pytest.param(
+        ("classify", "--shape", "2,1", "--n", "2", "--point", "2,1;1"),
+        id="classify",
+    ),
+]
 
 
 def _import_check(tmp_path, *argv):
@@ -212,6 +235,44 @@ class TestOutputBytes:
             code, out, err = run_cli(capsys, *argv, "--output", str(target))
             assert (code, out) == (2, "")
             assert err.startswith("error:") and "Traceback" not in err
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", _FULL_DEVICE)
+    def test_full_output_file_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--output", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write output: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", _FULL_DEVICE)
+    def test_full_stdout_is_usage_error(self, argv):
+        # a fresh interpreter, so the real standard output is the device;
+        # its last stderr line counts the workers still alive after main
+        script = (
+            "import multiprocessing, sys\n"
+            "from multiset_eulerian import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "children = len(multiprocessing.active_children())\n"
+            "print('children:', children, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = Path(multiset_eulerian.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                env=env,
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        lines = done.stderr.splitlines()
+        assert done.returncode == 2, done.stderr
+        assert lines[0].startswith("error: cannot write output: ")
+        assert lines[1:] == ["children: 0"], done.stderr
 
 
 class TestClassify:

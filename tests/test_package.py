@@ -1,7 +1,7 @@
 import pytest
 
 import multiset_eulerian
-from multiset_eulerian import lattice, numbers, verify
+from multiset_eulerian import combinatorics, lattice, numbers, qpoly, verify
 
 
 def test_public_names_resolve_once():
@@ -9,6 +9,19 @@ def test_public_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(multiset_eulerian, name) is not None
+
+
+def test_each_public_name_is_declared_once():
+    # a name is declared in the __all__ of the module that defines it, and
+    # the package exports the modules' lists in order, with nothing added
+    modules = (combinatorics, lattice, numbers, qpoly, verify)
+    declared = []
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+        declared += module.__all__
+    assert len(declared) == len(set(declared))
+    assert multiset_eulerian.__all__ == declared
 
 
 @pytest.mark.parametrize(
