@@ -15,7 +15,9 @@ and a ``verify`` selection that would check nothing, such as an empty
 to express, is served as an untimed run.  The exit codes of usage errors
 and failed writes are decided in ``main``: an ``--output`` that cannot
 be opened, or an output on a full device, ends the command with one
-``error:`` line.
+``error:`` line, and a closed pipe ends it quietly with exit code 0.
+When standard output is what failed, ``main`` points it at the null
+device, so the interpreter's own flush at exit cannot fail again.
 
 Each command, row kind and option is declared once: a subparser names
 its command function with ``set_defaults(run=...)``, ``table`` and
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import closing, contextmanager
 from typing import Iterator, Sequence, TextIO
@@ -180,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_row(args: argparse.Namespace) -> int:
     """Write a table or qtable row: one JSON document, or one CSV line per
     entry with list values joined by spaces.  An integer entry carries its
-    value, a q-polynomial entry its coefficients and its value at q = 1."""
+    value, a q-polynomial entry its coefficients and its value at q = 1;
+    the value type stands for the command, as `table` rows hold ints and
+    `qtable` rows q-polynomials."""
     shape = _parse_shape(args.shape)
     row = args.rows[args.kind](shape)
     entries = [
@@ -298,10 +303,24 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
+        _release_stdout()
         return 0
     except OSError as exc:
+        _release_stdout()
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+
+
+def _release_stdout() -> None:
+    """Point standard output at the null device if it still cannot be
+    flushed: a failed flush keeps its bytes buffered, and the flush at
+    interpreter exit would fail on them again, report it and exit 120."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def entry() -> None:

@@ -61,6 +61,34 @@ _FULL_DEVICE = [
 ]
 
 
+def _run_fresh(argv, stdout):
+    """Run the CLI in a fresh interpreter whose real standard output is
+    `stdout`; return its exit code and stderr lines, the last of which
+    counts the workers still alive after `main`.  Standard output is
+    block-buffered, as it is for a user, so the interpreter's own flush
+    at exit is exercised too."""
+    script = (
+        "import multiprocessing, sys\n"
+        "from multiset_eulerian import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "children = len(multiprocessing.active_children())\n"
+        "print('children:', children, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = Path(multiset_eulerian.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stderr.splitlines()
+
+
 def _import_check(tmp_path, *argv):
     """Run `verify *argv --workers 1` in a fresh interpreter.  Its stdout
     says whether `multiprocessing` was loaded after importing the CLI and
@@ -248,31 +276,22 @@ class TestOutputBytes:
     @needs_dev_full
     @pytest.mark.parametrize("argv", _FULL_DEVICE)
     def test_full_stdout_is_usage_error(self, argv):
-        # a fresh interpreter, so the real standard output is the device;
-        # its last stderr line counts the workers still alive after main
-        script = (
-            "import multiprocessing, sys\n"
-            "from multiset_eulerian import cli\n"
-            "code = cli.main(sys.argv[1:])\n"
-            "children = len(multiprocessing.active_children())\n"
-            "print('children:', children, file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
-        src = Path(multiset_eulerian.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
         with open("/dev/full", "w") as full:
-            done = subprocess.run(
-                [sys.executable, "-c", script, *argv],
-                env=env,
-                stdout=full,
-                stderr=subprocess.PIPE,
-                text=True,
-                timeout=60,
-            )
-        lines = done.stderr.splitlines()
-        assert done.returncode == 2, done.stderr
+            code, lines = _run_fresh(argv, full)
+        assert code == 2, lines
         assert lines[0].startswith("error: cannot write output: ")
-        assert lines[1:] == ["children: 0"], done.stderr
+        assert lines[1:] == ["children: 0"], lines
+
+    @pytest.mark.parametrize("argv", _FULL_DEVICE)
+    def test_broken_stdout_pipe_exits_0(self, argv):
+        # the reading end is closed first, so every write fails with EPIPE
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, lines = _run_fresh(argv, write)
+        finally:
+            os.close(write)
+        assert (code, lines) == (0, ["children: 0"])
 
 
 class TestClassify:
