@@ -14,11 +14,20 @@ table of block-size classes (`chain_classes`) that `verify`'s
 chain_q_corrected check also reads, so a run fills it once per shape;
 `stirling2_row_enum` counts the chains without grouping them, and the
 closed and solve routes share no code with either.
+
+Both q-enumerations of chains regroup their objects exactly.  A chain's
+major index is the sum of its internal vertex totals, so it depends only
+on those totals: `b_polynomials` tallies it once per block-size class, and
+`c_polynomials` once per class of words with the same prefix totals.
+Each still enumerates every chain or word, and each class adds its count.
+`a_polynomials` and `eulerian_row_enum` cannot regroup this way: their
+statistics, descents and major index, are read from each word itself.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,25 +226,29 @@ def c_polynomials(shape: Shape) -> Row:
     """Joint major-index polynomials of (permutation, cut-chain) pairs,
     by enumeration.
 
-    Walks every permutation and every way of cutting it into k contiguous
-    nonempty segments.  The cut chain's internal vertices are the word's
-    prefix contents at the cuts, so its major index is read by summing
-    those vertices' coordinate totals, computed once per word.
+    Counts every permutation with every way of cutting it into k
+    contiguous nonempty segments.  The cut chain's internal vertices are
+    the word's prefix contents at the cuts, so its major index is the sum
+    of those vertices' coordinate totals: it depends on the word only
+    through the word's vector of prefix totals.  So the words are counted
+    per vector, and the cut sets of each distinct vector are walked once,
+    weighted by its count.  The regrouping is exact for whatever totals
+    the enumeration reads, since every word is enumerated and its vertices
+    are read.  A prefix of length i has total i, so in practice every word
+    falls into one class; the tally does not assume that.
     """
-    d = shape.size
-    tallies: list[dict[int, int]] = [{} for _ in range(d)]
-    # cut sets for k = 1..d, as indices 0..d-2 of the internal prefixes
-    cut_sets = [
-        list(itertools.combinations(range(d - 1), k - 1)) for k in range(1, d + 1)
-    ]
-    for word in iter_permutations(shape):
-        totals = [sum(v) for v in word_prefix_contents(word)]
-        for bucket, cuts_k in zip(tallies, cut_sets):
-            for cuts in cuts_k:
-                maj = 0
-                for c in cuts:
-                    maj += totals[c]
-                bucket[maj] = bucket.get(maj, 0) + 1
+    classes = Counter(
+        tuple(map(sum, word_prefix_contents(word)))
+        for word in iter_permutations(shape)
+    )
+    tallies: list[dict[int, int]] = [{} for _ in range(shape.size)]
+    for totals, count in classes.items():
+        # the cut sets for k blocks are the (k - 1)-subsets of the internal
+        # prefixes, all but the full word
+        for k, tally in enumerate(tallies, start=1):
+            for cuts in itertools.combinations(totals[:-1], k - 1):
+                maj = sum(cuts)
+                tally[maj] = tally.get(maj, 0) + count
     return Row(shape, 1, tuple(QPolynomial.from_exponent_counts(t) for t in tallies))
 
 

@@ -400,9 +400,11 @@ def suite_jobs(
     """Ordered job list for a suite run: identities in registry order,
     shapes ordered by size, then part count, then lexicographically.
 
-    Selections that would check nothing or an invalid level (n_max < 0,
-    d_max < 1, l_max < 1, no identity, no shape) and unknown identity
-    names raise ValueError instead of giving an empty or failing run.
+    An explicit `shapes` list is filtered by d_max and l_max like the
+    enumerated one.  Selections that would check nothing or an invalid
+    level (n_max < 0, d_max < 1, l_max < 1, no identity, no shape left)
+    and unknown identity names raise ValueError instead of giving an
+    empty or failing run.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -422,9 +424,14 @@ def suite_jobs(
             raise ValueError("need either shapes or d_max")
         shape_list = list(iter_shapes(d_max, l_max))
     else:
-        shape_list = list(shapes)
-        if not shape_list:
-            raise ValueError("no shape selected")
+        shape_list = [
+            s
+            for s in shapes
+            if (d_max is None or s.size <= d_max)
+            and (l_max is None or s.letters <= l_max)
+        ]
+    if not shape_list:
+        raise ValueError("no shape selected")
     return [(i, s, n_max) for i in selected for s in shape_list]
 
 

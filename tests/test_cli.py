@@ -603,6 +603,9 @@ class TestVerify:
             ("--dmax", "2", "--identity", ""),
             ("--dmax", "2", "--shape", ""),
             ("--shape", "0"),
+            # a --shape outside --lmax or --dmax leaves nothing to check
+            ("--shape", "2,1", "--lmax", "1", "--nmax", "1", "--identity", "lah"),
+            ("--dmax", "2", "--shape", "3", "--nmax", "0", "--identity", "lah"),
         ],
     )
     def test_bad_range_is_usage_error(self, capsys, argv):
@@ -610,6 +613,24 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_shape_inside_the_range_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify",
+            "--dmax",
+            "6",
+            "--lmax",
+            "2",
+            "--shape",
+            "2,1",
+            "--nmax",
+            "1",
+            "--identity",
+            "lah",
+        )
+        assert code == 0
+        assert [json.loads(line)["shape"] for line in out.splitlines()] == [[2, 1]]
 
     def test_unknown_identity(self, capsys):
         code, _, err = run_cli(

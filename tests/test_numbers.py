@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from multiset_eulerian import numbers
 from multiset_eulerian.combinatorics import (
     Shape,
     chain_major_index,
@@ -261,8 +262,37 @@ class TestQFamilies:
         )
 
     def test_c_enum_matches_closed(self):
-        for shape in iter_shapes(6):
+        for shape in iter_shapes(7):
             assert c_polynomials(shape).values == c_polynomials_closed(shape).values
+
+    def test_c_matches_per_word_tally(self):
+        # c_polynomials walks the cut sets once per class of prefix totals;
+        # here every cut chain of every word is tallied on its own
+        for shape in iter_shapes(6):
+            expected = []
+            for k in range(1, shape.size + 1):
+                tally: dict[int, int] = {}
+                for word in iter_permutations(shape):
+                    for chain in iter_chains_of_word(word, k):
+                        maj = chain_major_index(chain)
+                        tally[maj] = tally.get(maj, 0) + 1
+                expected.append(QPolynomial.from_exponent_counts(tally))
+            assert c_polynomials(shape).values == tuple(expected), shape
+
+    def test_c_reads_every_words_vertices(self, monkeypatch):
+        # one word of 2,1 gets a perturbed first vertex; the enumeration
+        # must see it, so it no longer equals the closed form
+        original = numbers.word_prefix_contents
+
+        def perturbed(word):
+            prefixes = original(word)
+            if word == (1, 2, 1):
+                return ((2, 0),) + prefixes[1:]
+            return prefixes
+
+        monkeypatch.setattr(numbers, "word_prefix_contents", perturbed)
+        shape = Shape((2, 1))
+        assert c_polynomials(shape) != c_polynomials_closed(shape)
 
     def test_c_at_one_is_lah(self):
         for shape in iter_shapes(5):

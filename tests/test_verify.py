@@ -661,6 +661,9 @@ class TestSuite:
             {"d_max": 3, "l_max": 0},
             {"d_max": 2, "identities": []},
             {"shapes": []},
+            # an explicit shape list is filtered by d_max and l_max
+            {"shapes": [Shape((2, 1))], "l_max": 1},
+            {"shapes": [Shape((3,))], "d_max": 2},
         ):
             with pytest.raises(ValueError):
                 suite_jobs(**bad_range)
