@@ -9,13 +9,15 @@ died (``verify`` ends its stream with an ``error`` line naming the
 exception, identity and shape).
 
 Every input is served or rejected with exit code 2, never with a
-traceback.  Usage errors include a shape that ``Shape.parse`` rejects
-and a ``verify`` selection that would check nothing, such as an empty
-``--identity``.  A ``--time-limit`` of ``inf``, or too long for any wait
-to express, is served as an untimed run.  The exit codes of usage errors
-and failed writes are decided in ``main``: an ``--output`` that cannot
-be opened, or an output on a full device, ends the command with one
-``error:`` line, and a closed pipe ends it quietly with exit code 0.
+traceback.  Usage errors include a shape that ``Shape.parse`` rejects,
+an integer token in a shape, a point or ``--workers`` that is not ASCII
+decimal (``parse_int``), and a ``verify`` selection that would check
+nothing, such as an empty ``--identity``.  A ``--time-limit`` of ``inf``,
+or too long for any wait to express, is served as an untimed run.  The
+exit codes of usage errors and failed writes are decided in ``main``: an
+``--output`` that cannot be opened, or an output on a full device, ends
+the command with one ``error:`` line, and a closed pipe ends it quietly
+with exit code 0.
 When standard output is what failed, ``main`` points it at the null
 device, so the interpreter's own flush at exit cannot fail again.
 
@@ -30,7 +32,6 @@ command writes through ``_sink``.  Job selection rules live in
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -44,6 +45,7 @@ from .combinatorics import (
     format_chain,
     format_word,
     major_index,
+    parse_int,
 )
 from .lattice import classify_first, classify_second, validate_point
 from .numbers import (
@@ -89,7 +91,7 @@ def _parse_shape(text: str) -> Shape:
 def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]:
     try:
         point = tuple(
-            tuple(int(tok) for tok in group.split(",") if tok != "")
+            tuple(parse_int(tok) for tok in group.split(","))
             for group in text.split(";")
         )
     except ValueError:
@@ -103,8 +105,8 @@ def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]
 
 def _positive_int(raw: str) -> int:
     try:
-        if int(raw) >= 1:
-            return int(raw)
+        if parse_int(raw) >= 1:
+            return parse_int(raw)
     except ValueError:
         pass
     raise UsageError(f"--workers must be a positive integer, got {raw!r}")
@@ -196,6 +198,9 @@ def _cmd_row(args: argparse.Namespace) -> int:
     ]
     with _sink(args.output) as out:
         if args.format == "csv":
+            # imported here, so a JSON row or a run does not pay for loading it
+            import csv
+
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["shape", *entries[0]])
             for entry in entries:

@@ -24,7 +24,7 @@ q-statistics of chains read the classes instead of the chains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
@@ -49,27 +49,32 @@ Vector = tuple[int, ...]
 Chain = tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(namedtuple("Shape", "parts")):
     """Composition (d1, ..., dl) with d >= 1; zero parts are dropped on
-    construction, and a shape with no positive part is rejected."""
+    construction, and a shape with no positive part is rejected.
 
-    parts: tuple[int, ...]
+    A shape is a named tuple of one field, so it pickles, hashes and
+    compares as the tuple `(parts,)`: `Shape((2, 1)) == ((2, 1),)` and
+    `len(shape) == 1`.  `_make` and `_replace` skip the check, as they do
+    for any named tuple subclass.
+    """
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(int(p) for p in self.parts)
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[int, ...]) -> Shape:
+        cleaned = tuple(int(p) for p in parts)
         if any(p < 0 for p in cleaned):
             raise ValueError("shape parts must be nonnegative")
         parts = tuple(p for p in cleaned if p > 0)
         if not parts:
             raise ValueError("a shape needs d >= 1")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
     @classmethod
     def parse(cls, text: str) -> "Shape":
         """Parse a comma-separated shape such as "2,1"."""
         try:
-            parts = tuple(int(tok) for tok in text.split(","))
+            parts = tuple(parse_int(tok) for tok in text.split(","))
         except ValueError:
             raise ValueError(f"malformed shape {text!r}") from None
         try:
@@ -89,6 +94,17 @@ class Shape:
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
+
+
+def parse_int(token: str) -> int:
+    """The integer an ASCII decimal token names, with surrounding
+    whitespace and a leading "-" allowed; anything else `int` would take,
+    such as "1_0", "+1" or a non-ASCII digit, raises ValueError."""
+    text = token.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed integer {token!r}")
+    return int(text)
 
 
 def iter_permutations(shape: Shape) -> Iterator[Word]:

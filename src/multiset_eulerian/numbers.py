@@ -27,8 +27,7 @@ statistics, descents and major index, are read from each word itself.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Callable
 
 from .combinatorics import (
@@ -59,19 +58,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(namedtuple("Row", "shape start values")):
     """One row of a shape's numbers, with the index of its first entry.
 
     Eulerian rows are indexed by descent count i = 0..d-1 and always have
     length d, keeping structural zero tails so that row shapes are stable.
     Ordered Stirling and Lah rows are indexed by block count k = 1..d, and
-    the q-polynomial families by 1..d as well.
+    the q-polynomial families by 1..d as well.  `values` is a tuple of ints
+    or of `QPolynomial`s.  A row is a named tuple, so it also compares as
+    the plain tuple `(shape, start, values)`.
     """
 
-    shape: Shape
-    start: int
-    values: tuple["int | QPolynomial", ...]
+    __slots__ = ()
 
     def value(self, i: int) -> "int | QPolynomial":
         if not 0 <= i - self.start < len(self.values):

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -123,25 +123,23 @@ class IdentityId(str, Enum):
         raise ValueError(f"unknown identity {value!r}; known: {known}")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """Both sides of one comparison at a single dilation level.
+class CheckRecord(namedtuple("CheckRecord", "n lhs rhs equal")):
+    """Both sides of one comparison at a single dilation level: the level
+    n, lhs and rhs as ints or `QPolynomial`s, and whether they are equal.
 
     For decomposition oracles `equal` also covers the whole fiber table
     (see `_fiber_level`), not only the recorded totals.
     """
 
-    n: int
-    lhs: "int | QPolynomial"
-    rhs: "int | QPolynomial"
-    equal: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: IdentityId
-    shape: Shape
-    records: tuple[CheckRecord, ...]
+class IdentityReport(namedtuple("IdentityReport", "identity shape records")):
+    """One job's result: its `IdentityId`, its `Shape` and a tuple of
+    `CheckRecord`s, one per level.  `to_json_line` is a class attribute,
+    so a wrapper can be installed on the class."""
+
+    __slots__ = ()
 
     @property
     def expected(self) -> bool:

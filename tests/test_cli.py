@@ -89,22 +89,24 @@ def _run_fresh(argv, stdout):
     return done.returncode, done.stderr.splitlines()
 
 
-def _import_check(tmp_path, *argv):
+def _import_check(tmp_path, *argv, modules=("multiprocessing",)):
     """Run `verify *argv --workers 1` in a fresh interpreter.  Its stdout
-    says whether `multiprocessing` was loaded after importing the CLI and
-    after the run, with the exit code in between."""
+    lists which of `modules` were loaded after importing the CLI and after
+    the run, with the exit code in between."""
     script = (
         "import sys\n"
+        "modules = sys.argv[2].split(',')\n"
         "from multiset_eulerian import cli\n"
-        "print('multiprocessing' in sys.modules)\n"
-        "code = cli.main(['verify', *sys.argv[2:], '--workers', '1',\n"
+        "print([m for m in modules if m in sys.modules])\n"
+        "code = cli.main(['verify', *sys.argv[3:], '--workers', '1',\n"
         "                 '--output', sys.argv[1]])\n"
-        "print(code, 'multiprocessing' in sys.modules)\n"
+        "print(code, [m for m in modules if m in sys.modules])\n"
     )
     src = Path(multiset_eulerian.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
+    out = str(tmp_path / "out.jsonl")
     return subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "out.jsonl"), *argv],
+        [sys.executable, "-c", script, out, ",".join(modules), *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -459,13 +461,22 @@ class TestVerify:
 
     def test_serial_run_does_not_import_multiprocessing(self, tmp_path):
         done = _import_check(tmp_path, "--dmax", "2", "--nmax", "2", "--q")
-        assert done.stdout == "False\n0 False\n", done.stderr
+        assert done.stdout == "[]\n0 []\n", done.stderr
 
     def test_zero_time_limit_does_not_import_multiprocessing(self, tmp_path):
         # a spent budget truncates before a timed run would start a worker
         argv = ("--dmax", "2", "--nmax", "2", "--q", "--time-limit", "0")
         done = _import_check(tmp_path, *argv)
-        assert done.stdout == "False\n3 False\n", done.stderr
+        assert done.stdout == "[]\n3 []\n", done.stderr
+
+    def test_start_up_loads_no_unneeded_module(self, tmp_path):
+        # the set-up command of a benchmark run: the record types are named
+        # tuples, not dataclasses (which import inspect), and csv is loaded
+        # only for a --format csv row
+        argv = ("--dmax", "2", "--nmax", "2", "--q", "--time-limit", "0")
+        modules = ("dataclasses", "inspect", "csv", "multiprocessing")
+        done = _import_check(tmp_path, *argv, modules=modules)
+        assert done.stdout == "[]\n3 []\n", done.stderr
 
     def test_time_limit_truncates(self, capsys):
         code, out, _ = run_cli(
@@ -669,6 +680,22 @@ class TestVerify:
         assert code == 0
         names = [json.loads(line)["identity"] for line in out.splitlines()]
         assert names == ["worpitzky"] * 3 + ["lah"] * 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # int() would serve these as shape 10, one worker and point (3, 2)
+        ("table", "--shape", "1_0", "--kind", "lah"),
+        ("verify", "--dmax", "1", "--workers", "\u0661"),
+        ("classify", "--shape", "2", "--n", "3", "--point", "3,,2"),
+    ],
+    ids=["shape", "workers", "point"],
+)
+def test_integer_tokens_are_ascii_decimal(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestParser:

@@ -18,6 +18,7 @@ from multiset_eulerian.combinatorics import (
     iter_permutations,
     iter_shapes,
     major_index,
+    parse_int,
 )
 from multiset_eulerian.qpoly import binomial, multinomial
 from oracles import (
@@ -59,6 +60,27 @@ class TestShape:
     def test_hashable(self):
         assert Shape((2, 0, 1)) == Shape((2, 1))
         assert len({Shape((2, 1)), Shape((2, 0, 1))}) == 1
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661", "3,,2", "+1", "2,"])
+    def test_parse_takes_ascii_decimal_tokens_only(self, text):
+        with pytest.raises(ValueError, match="malformed shape"):
+            Shape.parse(text)
+
+
+class TestParseInt:
+    @pytest.mark.parametrize(
+        "token, value", [("7", 7), (" 12\t", 12), ("-3", -3), ("007", 7)]
+    )
+    def test_served(self, token, value):
+        assert parse_int(token) == value
+
+    @pytest.mark.parametrize(
+        "token", ["", " ", "-", "+1", "--1", "- 1", "1_0", "\u0661", "1.0", "0x1"]
+    )
+    def test_rejected(self, token):
+        # int() takes "+1", "1_0" and the Arabic-Indic digit one
+        with pytest.raises(ValueError):
+            parse_int(token)
 
 
 class TestPermutations:
