@@ -9,15 +9,16 @@ died (``verify`` ends its stream with an ``error`` line naming the
 exception, identity and shape).
 
 Every input is served or rejected with exit code 2, never with a
-traceback.  Usage errors include a shape that ``Shape.parse`` rejects,
-an integer token in a shape, a point or ``--workers`` that is not ASCII
-decimal (``parse_int``), and a ``verify`` selection that would check
-nothing, such as an empty ``--identity``.  A ``--time-limit`` of ``inf``,
-or too long for any wait to express, is served as an untimed run.  The
-exit codes of usage errors and failed writes are decided in ``main``: an
-``--output`` that cannot be opened, or an output on a full device, ends
-the command with one ``error:`` line, and a closed pipe ends it quietly
-with exit code 0.
+traceback, and ``main`` reports each usage error, argparse's own too
+(``_Parser``), as one ``error:`` line.  Usage errors include a shape
+that ``Shape.parse`` rejects, an integer token anywhere that is not ASCII
+decimal (``parse_int``), a ``--time-limit`` that is not ASCII or has a
+``_``, and a ``verify`` selection that would check nothing, such as an
+empty ``--identity`` or an empty name in it.  A ``--time-limit`` of
+``inf``, or too long for any wait to express, is served as an untimed
+run.  An ``--output`` that cannot be opened, or an output on a full
+device, ends the command with one ``error:`` line, and a closed pipe
+ends it quietly with exit code 0.
 When standard output is what failed, ``main`` points it at the null
 device, so the interpreter's own flush at exit cannot fail again.
 
@@ -36,7 +37,7 @@ import json
 import os
 import sys
 from contextlib import closing, contextmanager
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, NoReturn, Sequence, TextIO
 
 from .combinatorics import (
     Shape,
@@ -76,16 +77,18 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error, its subparsers' too, as a one-line `UsageError`."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message.replace("\n", r"\n"))
+
+
 def _parse_shape(text: str) -> Shape:
     try:
-        shape = Shape.parse(text)
+        return Shape.parse(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if shape.letters < text.count(",") + 1:
-        print(
-            f"warning: dropping zero parts from shape {text!r}", file=sys.stderr
-        )
-    return shape
 
 
 def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]:
@@ -94,22 +97,24 @@ def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]
             tuple(parse_int(tok) for tok in group.split(","))
             for group in text.split(";")
         )
-    except ValueError:
-        raise UsageError(f"malformed point {text!r}") from None
-    try:
         validate_point(point, shape, n)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"invalid point {text!r}: {exc}") from None
     return point
 
 
 def _positive_int(raw: str) -> int:
-    try:
-        if parse_int(raw) >= 1:
-            return parse_int(raw)
-    except ValueError:
-        pass
-    raise UsageError(f"--workers must be a positive integer, got {raw!r}")
+    workers = parse_int(raw)
+    if workers < 1:
+        raise ValueError(raw)
+    return workers
+
+
+def _seconds(raw: str) -> float:
+    """`float` of an ASCII token without "_", a digit separator to `float`."""
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(raw)
+    return float(raw)
 
 
 @contextmanager
@@ -126,7 +131,7 @@ def _sink(path: "str | None") -> Iterator[TextIO]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multiset-eulerian",
         description="Exact multiset Eulerian and ordered Stirling computations",
     )
@@ -150,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", parents=[output], help="run identity checks as JSON lines"
     )
-    verify.add_argument("--dmax", type=int)
-    verify.add_argument("--lmax", type=int)
-    verify.add_argument("--nmax", type=int, default=8)
+    verify.add_argument("--dmax", type=parse_int)
+    verify.add_argument("--lmax", type=parse_int)
+    verify.add_argument("--nmax", type=parse_int, default=8)
     verify.add_argument(
         "--q", action="store_true", help="include the q-polynomial identities"
     )
@@ -161,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated identity names (default: all registered)",
     )
     verify.add_argument("--shape", help="restrict the run to one shape")
-    verify.add_argument("--workers", default="1")
+    verify.add_argument("--workers", type=_positive_int, default=1)
     verify.add_argument(
         "--time-limit",
-        type=float,
+        type=_seconds,
         help="wall-clock budget in seconds; exceeding it truncates the run",
     )
     verify.set_defaults(run=_cmd_verify)
@@ -173,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", parents=[output], help="classify one lattice point"
     )
     classify.add_argument("--shape", required=True)
-    classify.add_argument("--n", type=int, required=True)
+    classify.add_argument("--n", type=parse_int, required=True)
     classify.add_argument(
         "--point", required=True, help='grouped coordinates, e.g. "2,1;1"'
     )
@@ -221,8 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.dmax is None:
         raise UsageError("need --dmax or --shape")
     if args.identity is not None:
-        identities = [tok.strip() for tok in args.identity.split(",") if tok.strip()]
-    workers = _positive_int(args.workers)
+        identities = [tok.strip() for tok in args.identity.split(",")]
     try:
         jobs = suite_jobs(
             d_max=args.dmax,
@@ -232,7 +236,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             identities=identities,
             shapes=shapes,
         )
-        run = SuiteRun(jobs, workers=workers, time_limit=args.time_limit)
+        run = SuiteRun(jobs, workers=args.workers, time_limit=args.time_limit)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -297,13 +301,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.run(args)
+        args = build_parser().parse_args(argv)
+        code = args.run(args)
+    except SystemExit as exc:  # --help, which prints usage and exits 0
+        return exc.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -314,6 +316,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         _release_stdout()
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    # only a command that ran warns, so a usage error stays one line
+    shape = args.shape
+    if shape and Shape.parse(shape).letters <= shape.count(","):
+        print(f"warning: dropping zero parts from shape {shape!r}", file=sys.stderr)
+    return code
 
 
 def _release_stdout() -> None:

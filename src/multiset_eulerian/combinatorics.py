@@ -10,8 +10,8 @@ multiset into k nonempty blocks.
 All enumerators are deterministic: permutations come out in
 lexicographic word order and chains in lexicographic order of their
 flattened vertex sequences, so repeated runs produce identical output.
-Neither recurses, so a shape deeper than the recursion limit is served:
-`iter_permutations` steps a word to its successor in place, and
+No enumerator recurses, so a shape deeper than the recursion limit is
+served: `iter_permutations` steps a word to its successor in place, and
 `iter_chains` walks an explicit stack of vertex frames and completes
 each chain's last two vertices at C level, from a memoised list per
 vertex joined to the prefix by `map`.
@@ -24,6 +24,7 @@ q-statistics of chains read the classes instead of the chains.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
@@ -62,7 +63,7 @@ class Shape(namedtuple("Shape", "parts")):
     __slots__ = ()
 
     def __new__(cls, parts: tuple[int, ...]) -> Shape:
-        cleaned = tuple(int(p) for p in parts)
+        cleaned = tuple(map(operator.index, parts))
         if any(p < 0 for p in cleaned):
             raise ValueError("shape parts must be nonnegative")
         parts = tuple(p for p in cleaned if p > 0)
@@ -308,14 +309,6 @@ def iter_shapes(d_max: int, l_max: int | None = None) -> Iterator[Shape]:
     for d in range(1, d_max + 1):
         top = d if l_max is None else min(l_max, d)
         for parts in range(1, top + 1):
-            for comp in _compositions(d, parts):
-                yield Shape(comp)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+            # cut points in lexicographic order give the parts in it too
+            for cuts in itertools.combinations(range(1, d), parts - 1):
+                yield Shape(tuple(map(operator.sub, (*cuts, d), (0, *cuts))))

@@ -14,7 +14,8 @@ package's own point and word enumerators and test each point directly.
 Cutting a word into segments, last, is checked against the package's
 chain enumerator and Lah row.  The recursive chain enumerator the
 package used before its explicit-stack one is kept as a reference for
-its chains and their order.
+its chains and their order, and compositions come from bitmasks over the
+gaps between elements, sorted into the package's shape order.
 """
 
 from __future__ import annotations
@@ -48,6 +49,27 @@ EULERIAN_CLASSICAL = {
 # Ordered Bell numbers: total ordered set partitions of d distinct items
 # (A000670).
 FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
+
+
+def compositions_by_bitmask(
+    d_max: int, l_max: int | None = None
+) -> list[tuple[int, ...]]:
+    """Every composition with 1 <= d <= d_max and at most l_max parts,
+    ordered by d, then part count, then lexicographically.  Bit i of a
+    mask over the d - 1 gaps cuts the d elements after element i + 1."""
+    found = []
+    for d in range(1, d_max + 1):
+        for mask in range(1 << (d - 1)):
+            parts, size = [], 1
+            for i in range(d - 1):
+                if mask >> i & 1:
+                    parts.append(size)
+                    size = 0
+                size += 1
+            parts.append(size)
+            if l_max is None or len(parts) <= l_max:
+                found.append(tuple(parts))
+    return sorted(found, key=lambda c: (sum(c), len(c), c))
 
 
 def weakly_decreasing_tuples(length: int, bound: int) -> list[tuple[int, ...]]:

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multiset_eulerian
 from multiset_eulerian import verify
@@ -666,6 +671,12 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--dmax", "1") == plain
         assert plain[0] == 0
 
+    def test_repeated_identity_runs_once(self, capsys):
+        argv = ("verify", "--dmax", "2", "--nmax", "1")
+        once = run_cli(capsys, *argv, "--identity", "lah")
+        assert once[0] == 0 and len(once[1].splitlines()) == 3
+        assert run_cli(capsys, *argv, "--identity", "lah, lah,lah") == once
+
     def test_identity_list_filter(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -689,8 +700,23 @@ class TestVerify:
         ("table", "--shape", "1_0", "--kind", "lah"),
         ("verify", "--dmax", "1", "--workers", "\u0661"),
         ("classify", "--shape", "2", "--n", "3", "--point", "3,,2"),
+        # int() and float() would serve these as d <= 10, at most one
+        # part, n <= 1, n = 10 and a 10 s or 0 s budget; a run that is
+        # served anyway ends at once
+        ("verify", "--dmax", "1_0", "--time-limit", "0"),
+        ("verify", "--dmax", "2", "--lmax", "+1", "--time-limit", "0"),
+        ("verify", "--dmax", "2", "--nmax", "\u0661", "--time-limit", "0"),
+        ("classify", "--shape", "2", "--n", "1_0", "--point", "3,2"),
+        ("verify", "--dmax", "1", "--nmax", "0", "--time-limit", "1_0"),
+        ("verify", "--dmax", "1", "--nmax", "0", "--time-limit", "\u0660"),
+        # an empty identity name is an unknown one, as an empty integer
+        # token is malformed
+        ("verify", "--dmax", "2", "--identity", "lah,,lah", "--time-limit", "0"),
     ],
-    ids=["shape", "workers", "point"],
+    ids=[
+        "shape", "workers", "point", "dmax", "lmax", "nmax", "n",
+        "time-limit", "time-limit-digit", "identity",
+    ],
 )
 def test_integer_tokens_are_ascii_decimal(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -706,4 +732,131 @@ class TestParser:
         assert run_cli(capsys, "table", "--kind", "lah")[0] == 2
 
     def test_help_exits_zero(self, capsys):
-        assert run_cli(capsys, "--help")[0] == 0
+        code, out, err = run_cli(capsys, "--help")
+        assert code == 0 and out.startswith("usage:") and err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("table", "--kind", "lah"),
+            ("verify", "--dmax", "x"),
+            ("qtable", "--shape", "2,1", "--kind", "D"),
+            ("classify", "--shape", "2", "--n", "1", "--point", "1,0", "--bogus"),
+            # argparse quotes an unrecognized argument as typed
+            ("table", "--shape", "2,1", "--kind", "lah", "a\nb"),
+            # a shape's zero parts are not warned of before a usage error
+            ("verify", "--shape", "1,0", "--nmax", "-1"),
+            ("classify", "--shape", "2,0", "--n", "1", "--point", "3,1"),
+        ],
+        ids=[
+            "no-command", "missing", "type", "choice", "unknown", "newline",
+            "zero-part-verify", "zero-part-classify",
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "usage:" not in err
+
+
+# Tokens that may be rejected: integer tokens that parse_int rejects, and
+# integers out of range for some options.
+_JUNK = ["1_0", "+1", "\u0661", "", " ", "x", "1.0", "a\nb", "-1", "0"]
+
+
+def _mostly(valid, junk=_JUNK):
+    """A token from `valid` nine times in ten, else one from `junk`."""
+    return st.sampled_from([True] * 9 + [False]).flatmap(
+        lambda ok: valid if ok else st.sampled_from(junk)
+    )
+
+
+def _ints(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str))
+
+
+def _size(tokens):
+    return sum(int(t) for t in tokens if t.strip().isdigit())
+
+
+# A served --shape has d <= 5, a --dmax is at most 6, and every verify run
+# has a --time-limit of 0 or one that is rejected, so no example computes
+# much.
+_SHAPES = (
+    st.lists(_ints(0, 3), min_size=1, max_size=3)
+    .filter(lambda tokens: _size(tokens) <= 5)
+    .map(",".join)
+)
+_POINTS = st.lists(
+    st.lists(_ints(0, 2), max_size=3).map(",".join), min_size=1, max_size=3
+).map(";".join)
+_FORMATS = _mostly(st.sampled_from(["json", "csv"]), junk=["xml"])
+_OPTIONS = {
+    "table": {
+        "--shape": _SHAPES,
+        "--kind": _mostly(
+            st.sampled_from(["eulerian", "stirling2", "lah"]), junk=["A"]
+        ),
+        "--format": _FORMATS,
+    },
+    "qtable": {
+        "--shape": _SHAPES,
+        "--kind": _mostly(st.sampled_from(["A", "B", "C"]), junk=["lah"]),
+        "--format": _FORMATS,
+    },
+    "verify": {
+        "--shape": _SHAPES,
+        "--dmax": _ints(1, 6),
+        "--lmax": _ints(1, 3),
+        "--nmax": _ints(0, 3),
+        "--identity": _mostly(
+            st.sampled_from(["lah", "lah,lah", " lah, worpitzky", "lah_q"]),
+            junk=["", ",", "lah,,lah", "x"],
+        ),
+        "--workers": _ints(1, 3),
+        "--q": st.none(),
+        "--time-limit": _mostly(
+            st.sampled_from(["0", "-0", " 0 ", "0e9"]),
+            junk=["-5", "nan", "1_0", "\u0660", "0x0"],
+        ),
+    },
+    "classify": {"--shape": _SHAPES, "--n": _ints(0, 3), "--point": _POINTS},
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command, each of its options in any order, each left out one
+    time in eight (a required one too), and at times a stray argument."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    argv = [command]
+    for name in draw(st.permutations(sorted(options))):
+        if name == "--time-limit" or draw(st.sampled_from([True] * 7 + [False])):
+            value = draw(options[name])
+            argv += [name] if value is None else [name, value]
+    return argv + draw(st.sampled_from([[]] * 8 + [["--bogus"], ["a\nb"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_every_input_is_served_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    elif argv[0] in ("table", "qtable"):
+        # a served shape prints back in canonical form, without zero parts
+        text = argv[argv.index("--shape") + 1]
+        parts = [p for p in map(int, text.split(",")) if p > 0]
+        if "csv" in argv:
+            rows = list(csv.reader(out.splitlines()))[1:]
+            assert {row[0] for row in rows} == {",".join(map(str, parts))}
+        else:
+            assert json.loads(out)["shape"] == parts

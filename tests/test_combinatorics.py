@@ -23,6 +23,7 @@ from multiset_eulerian.combinatorics import (
 from multiset_eulerian.qpoly import binomial, multinomial
 from oracles import (
     brute_chains,
+    compositions_by_bitmask,
     iter_chains_of_word,
     multiset_words,
     ordered_partition_count,
@@ -56,6 +57,12 @@ class TestShape:
             Shape.parse("2,x")
         with pytest.raises(ValueError):
             Shape((-1, 2))
+
+    @pytest.mark.parametrize("parts", [(2.9,), ("1_0",), (2, 1.0)])
+    def test_parts_must_be_integers(self, parts):
+        # int() would take 2.9 as 2 and "1_0" as 10, around parse_int
+        with pytest.raises(TypeError):
+            Shape(parts)
 
     def test_hashable(self):
         assert Shape((2, 0, 1)) == Shape((2, 1))
@@ -265,6 +272,11 @@ class TestIterShapes:
     def test_order_snapshot(self):
         got = [s.parts for s in iter_shapes(3)]
         assert got == [(1,), (2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1)]
+
+    @pytest.mark.parametrize("l_max", [None, 1, 2, 3, 5])
+    def test_matches_bitmask_oracle(self, l_max):
+        got = [s.parts for s in iter_shapes(12, l_max)]
+        assert got == compositions_by_bitmask(12, l_max)
 
     def test_l_max_filter(self):
         assert all(s.letters <= 2 for s in iter_shapes(5, 2))
