@@ -10,15 +10,15 @@ exception, identity and shape).
 
 Every input is served or rejected with exit code 2, never with a
 traceback, and ``main`` reports each usage error, argparse's own too
-(``_Parser``), as one ``error:`` line.  Usage errors include a shape
-that ``Shape.parse`` rejects, an integer token anywhere that is not ASCII
-decimal (``parse_int``), a ``--time-limit`` that is not ASCII or has a
-``_``, and a ``verify`` selection that would check nothing, such as an
-empty ``--identity`` or an empty name in it.  A ``--time-limit`` of
-``inf``, or too long for any wait to express, is served as an untimed
-run.  An ``--output`` that cannot be opened, or an output on a full
-device, ends the command with one ``error:`` line, and a closed pipe
-ends it quietly with exit code 0.
+(``_Parser``), as one ``error:`` line.  Usage errors include an option
+not spelled in full, a shape that ``Shape.parse`` rejects, an integer
+token anywhere that is not ASCII decimal (``parse_int``), a
+``--time-limit`` that is not ASCII or has a ``_``, and a ``verify``
+selection that would check nothing, such as an empty ``--identity`` or
+an empty name in it.  A ``--time-limit`` of ``inf``, or too long for any
+wait to express, is served as an untimed run.  An ``--output`` that
+cannot be opened, or an output on a full device, ends the command with
+one ``error:`` line, and a closed pipe ends it quietly with exit code 0.
 When standard output is what failed, ``main`` points it at the null
 device, so the interpreter's own flush at exit cannot fail again.
 
@@ -80,6 +80,9 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Raises each usage error, its subparsers' too, as a one-line `UsageError`."""
 
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> NoReturn:
         raise UsageError(message.replace("\n", r"\n"))
 
@@ -104,17 +107,23 @@ def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]
 
 
 def _positive_int(raw: str) -> int:
-    workers = parse_int(raw)
-    if workers < 1:
-        raise ValueError(raw)
-    return workers
+    try:
+        workers = parse_int(raw)
+        if workers >= 1:
+            return workers
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
 
 
 def _seconds(raw: str) -> float:
     """`float` of an ASCII token without "_", a digit separator to `float`."""
-    if not raw.isascii() or "_" in raw:
-        raise ValueError(raw)
-    return float(raw)
+    try:
+        if raw.isascii() and "_" not in raw:
+            return float(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be ASCII seconds with no '_', got {raw!r}")
 
 
 @contextmanager

@@ -7,13 +7,15 @@ statistic (`eulerian_row_enum`, `stirling2_row_enum`, `a_polynomials`,
 (`eulerian_row_closed`, `stirling2_row_closed`, `lah_row`,
 `c_polynomials_closed`), and a triangular solve against dilation point
 counts (`eulerian_row_solve`, `stirling2_row_solve`).  The verification
-layer exercises exactly this redundancy, so no two routes share code.
-The two solve routes share one forward substitution, `_forward_solve`,
-and differ only in the basis they pass it.  `b_polynomials` reads the
-table of block-size classes (`chain_classes`) that `verify`'s
-chain_q_corrected check also reads, so a run fills it once per shape;
-`stirling2_row_enum` counts the chains without grouping them, and the
-closed and solve routes share no code with either.
+layer exercises exactly this redundancy, so no two routes of a row share
+code.  A row's closed and solve routes invert one unit lower triangular
+system, by its explicit inverse (`_inclusion_exclusion`) and by forward
+substitution (`_forward_solve`), each given the row's binomial entries;
+`stirling2_row_as_printed` keeps the paper's misprinted Stirling index.
+`b_polynomials` reads the table of block-size classes (`chain_classes`)
+that `verify`'s chain_q_corrected check also reads, so a run fills it
+once per shape; `stirling2_row_enum` counts the chains without grouping
+them, and the closed and solve routes share no code with either.
 
 Both q-enumerations of chains regroup their objects exactly.  A chain's
 major index is the sum of its internal vertex totals, so it depends only
@@ -52,6 +54,7 @@ __all__ = [
     "eulerian_row_enum",
     "eulerian_row_solve",
     "lah_row",
+    "stirling2_row_as_printed",
     "stirling2_row_closed",
     "stirling2_row_enum",
     "stirling2_row_solve",
@@ -86,21 +89,23 @@ def eulerian_row_enum(shape: Shape) -> Row:
     return Row(shape, 0, tuple(values))
 
 
+def _inclusion_exclusion(
+    shape: Shape, coefficient: Callable[[int, int], int]
+) -> tuple[int, ...]:
+    """Entry i = 0..d-1 is the sum over h <= i of (-1)**(i - h) *
+    coefficient(i, h) * point_count(shape, h): the explicit inverse of a unit
+    lower triangular system of the kind `_forward_solve` solves."""
+    counts = [point_count(shape, h) for h in range(shape.size)]
+    return tuple(
+        sum((-1) ** (i - h) * coefficient(i, h) * counts[h] for h in range(i + 1))
+        for i in range(shape.size)
+    )
+
+
 def eulerian_row_closed(shape: Shape) -> Row:
     """Alternating-sum closed form of the descent-count row."""
-    d = shape.size
-    counts = [point_count(shape, h) for h in range(d)]
-    return Row(
-        shape,
-        0,
-        tuple(
-            sum(
-                (-1) ** (i - h) * binomial(d + 1, i - h) * counts[h]
-                for h in range(i + 1)
-            )
-            for i in range(d)
-        ),
-    )
+    values = _inclusion_exclusion(shape, lambda i, h: binomial(shape.size + 1, i - h))
+    return Row(shape, 0, values)
 
 
 def _forward_solve(shape: Shape, basis: Callable[[int, int], int]) -> tuple[int, ...]:
@@ -139,34 +144,18 @@ def stirling2_row_enum(shape: Shape) -> Row:
     return Row(shape, 1, tuple(values))
 
 
-def stirling2_row_closed(shape: Shape, variant: str = "corrected") -> Row:
-    """Closed form of the ordered partition row, by block count k.
+def stirling2_row_closed(shape: Shape) -> Row:
+    """Closed form of the ordered partition row, by block count k = i + 1:
+    the inverse's entries are C(k, h + 1), and enumeration confirms it."""
+    values = _inclusion_exclusion(shape, lambda i, h: binomial(i + 1, h + 1))
+    return Row(shape, 1, values)
 
-    The two variants differ in one binomial index: "corrected" uses
-    C(k, h+1), which is what the triangular system actually inverts to
-    and what enumeration confirms; "as-printed" uses C(k, h) and does
-    not agree.  Both are exposed so the disagreement stays reproducible
-    (for shape (1,1), k = 2 they give 2 and 7 respectively).
-    """
-    if variant == "corrected":
-        offset = 1
-    elif variant == "as-printed":
-        offset = 0
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    d = shape.size
-    counts = [point_count(shape, h) for h in range(d)]
-    return Row(
-        shape,
-        1,
-        tuple(
-            sum(
-                (-1) ** (k - 1 - h) * binomial(k, h + offset) * counts[h]
-                for h in range(k)
-            )
-            for k in range(1, d + 1)
-        ),
-    )
+
+def stirling2_row_as_printed(shape: Shape) -> Row:
+    """`stirling2_row_closed` with the paper's printed index C(k, h), kept
+    because it disagrees with enumeration: for (1,1), k = 2 it gives 7, not 2."""
+    values = _inclusion_exclusion(shape, lambda i, h: binomial(i + 1, h))
+    return Row(shape, 1, values)
 
 
 def stirling2_row_solve(shape: Shape) -> Row:

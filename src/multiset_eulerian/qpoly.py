@@ -10,6 +10,7 @@ helpers below; :class:`QPolynomial` supplies the polynomial side.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -63,7 +64,7 @@ class QPolynomial:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = [int(c) for c in coeffs]
+        cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -165,6 +166,7 @@ class QPolynomial:
 
     def __call__(self, x: int) -> int:
         """Evaluate at an integer point (Horner, exact)."""
+        x = operator.index(x)
         out = 0
         for c in reversed(self.coeffs):
             out = out * x + c

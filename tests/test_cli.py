@@ -748,10 +748,15 @@ class TestParser:
             # a shape's zero parts are not warned of before a usage error
             ("verify", "--shape", "1,0", "--nmax", "-1"),
             ("classify", "--shape", "2,0", "--n", "1", "--point", "3,1"),
+            # an option is spelled in full, never abbreviated to a prefix
+            ("verify", "--dmax", "2", "--nmax", "1", "--identity", "lah", "--sha", "2"),
+            ("verify", "--dm", "2", "--nmax", "0", "--identity", "lah"),
+            ("table", "--sh", "2,1", "--kind", "lah"),
         ],
         ids=[
             "no-command", "missing", "type", "choice", "unknown", "newline",
-            "zero-part-verify", "zero-part-classify",
+            "zero-part-verify", "zero-part-classify", "prefix-shape",
+            "prefix-dmax", "prefix-table",
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):
@@ -759,6 +764,22 @@ class TestParser:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "usage:" not in err
+
+    @pytest.mark.parametrize(
+        "option, token, rule",
+        [
+            ("--workers", "0", "must be a positive integer"),
+            ("--workers", "x", "must be a positive integer"),
+            ("--time-limit", "1_0", "must be ASCII seconds with no '_'"),
+            ("--time-limit", "abc", "must be ASCII seconds with no '_'"),
+        ],
+        ids=["workers-0", "workers-x", "time-limit-_", "time-limit-abc"],
+    )
+    def test_type_error_states_the_rule(self, capsys, option, token, rule):
+        # the line names the option and its rule, not a private type function
+        code, out, err = run_cli(capsys, "verify", "--dmax", "2", option, token)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument {option}: {rule}, got {token!r}\n"
 
 
 # Tokens that may be rejected: integer tokens that parse_int rejects, and

@@ -18,6 +18,7 @@ from multiset_eulerian.numbers import (
     eulerian_row_enum,
     eulerian_row_solve,
     lah_row,
+    stirling2_row_as_printed,
     stirling2_row_closed,
     stirling2_row_enum,
     stirling2_row_solve,
@@ -128,10 +129,10 @@ class TestStirlingRows:
             )
 
     def test_as_printed_discrepancy(self):
-        assert stirling2_row_closed(Shape((1, 1)), "as-printed").value(2) == 7
-        assert stirling2_row_closed(Shape((1, 1)), "corrected").value(2) == 2
-        assert stirling2_row_closed(Shape((2, 1)), "as-printed").value(2) == 11
-        assert stirling2_row_closed(Shape((2, 1)), "corrected").value(2) == 4
+        assert stirling2_row_as_printed(Shape((1, 1))).value(2) == 7
+        assert stirling2_row_closed(Shape((1, 1))).value(2) == 2
+        assert stirling2_row_as_printed(Shape((2, 1))).value(2) == 11
+        assert stirling2_row_closed(Shape((2, 1))).value(2) == 4
 
     def test_row_matches_partition_oracle(self):
         for shape in iter_shapes(5):
@@ -142,8 +143,6 @@ class TestStirlingRows:
     def test_validation(self):
         with pytest.raises(IndexError):
             stirling2_row_closed(Shape((2, 1))).value(0)
-        with pytest.raises(ValueError):
-            stirling2_row_closed(Shape((2, 1)), "mystery")
 
 
 class TestLahRows:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -147,6 +148,23 @@ class TestQPolynomial:
         assert p(2) == 9
         assert p(0) == 1
         assert ZERO(7) == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: QPolynomial([2.9, 1]),
+            lambda: QPolynomial([1, "3"]),
+            lambda: QPolynomial([Fraction(1, 2)]),
+            lambda: QPolynomial.monomial(2.5, 1),
+            lambda: QPolynomial((1, 1))(0.5),
+        ],
+        ids=["float", "str", "fraction", "monomial", "evaluate"],
+    )
+    def test_coefficients_and_points_are_integers(self, make):
+        # int() would take 2.9 as 2 and "3" as 3, and Horner's rule would
+        # evaluate at 0.5 in floating point
+        with pytest.raises(TypeError):
+            make()
 
     def test_monomial_and_tally(self):
         assert QPolynomial.monomial(3, 2).coeffs == (0, 0, 3)
