@@ -106,12 +106,21 @@ def _parse_point(text: str, shape: Shape, n: int) -> tuple[tuple[int, ...], ...]
     return point
 
 
+def _integer(raw: str) -> int:
+    """`parse_int` for an option, whose error states the token rule."""
+    try:
+        return parse_int(raw)
+    except ValueError:
+        rule = "must be an ASCII decimal integer"
+        raise argparse.ArgumentTypeError(f"{rule}, got {raw!r}") from None
+
+
 def _positive_int(raw: str) -> int:
     try:
-        workers = parse_int(raw)
+        workers = _integer(raw)
         if workers >= 1:
             return workers
-    except ValueError:
+    except argparse.ArgumentTypeError:
         pass
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
 
@@ -164,15 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", parents=[output], help="run identity checks as JSON lines"
     )
-    verify.add_argument("--dmax", type=parse_int)
-    verify.add_argument("--lmax", type=parse_int)
-    verify.add_argument("--nmax", type=parse_int, default=8)
+    verify.add_argument("--dmax", type=_integer)
+    verify.add_argument("--lmax", type=_integer)
+    verify.add_argument("--nmax", type=_integer, default=8)
     verify.add_argument(
         "--q", action="store_true", help="include the q-polynomial identities"
     )
     verify.add_argument(
         "--identity",
-        help="comma-separated identity names (default: all registered)",
+        help="comma-separated identity names "
+        "(default: all registered ones with --q, else the non-q ones)",
     )
     verify.add_argument("--shape", help="restrict the run to one shape")
     verify.add_argument("--workers", type=_positive_int, default=1)
@@ -187,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "classify", parents=[output], help="classify one lattice point"
     )
     classify.add_argument("--shape", required=True)
-    classify.add_argument("--n", type=parse_int, required=True)
+    classify.add_argument("--n", type=_integer, required=True)
     classify.add_argument(
         "--point", required=True, help='grouped coordinates, e.g. "2,1;1"'
     )

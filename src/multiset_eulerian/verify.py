@@ -8,10 +8,10 @@ identities are known not to hold in general (stirling2_q and lah_q):
 they are marked as not expected to pass, and the command line treats
 their failures as informative output instead of an error.
 
-The registry table is the one place where an identity is declared: its
-`IdentityId` member carries the name and the flags, and its `_CHECKERS`
-entry says what to compute.  The six expansion identities share the form
-lhs(n) = sum over k of row[k] * basis_k(n), so their entries name only the
+An identity is declared once, as its `IdentityId` member: its name, its
+two flags and its checker, which says what to compute.  `_CHECKERS` is
+built from the members.  The six expansion identities share the form
+lhs(n) = sum over k of row[k] * basis_k(n), so their checkers name only the
 lhs, the row and the basis.  Every checker runs through one n-loop.
 
 The two decomposition oracles build one fiber table per job: the words
@@ -85,42 +85,6 @@ __all__ = [
     "check_identity",
     "suite_jobs",
 ]
-
-
-class IdentityId(str, Enum):
-    """Registered identities and decomposition oracles, in registry order.
-
-    Each member is declared once with its two flags: `is_q` marks the
-    identities that compute q-polynomials rather than integers, and
-    `expected` is False where a failure is informative rather than an
-    error.  The checker that computes each one is in `_CHECKERS`.  Looking
-    up an unknown name raises ValueError listing the known ones.
-    """
-
-    is_q: bool
-    expected: bool
-
-    def __new__(cls, value: str, is_q: bool, expected: bool) -> "IdentityId":
-        member = str.__new__(cls, value)
-        member._value_ = value
-        member.is_q = is_q
-        member.expected = expected
-        return member
-
-    WORPITZKY = "worpitzky", False, True
-    CARLITZ_Q = "carlitz_q", True, True
-    STIRLING2 = "stirling2", False, True
-    STIRLING2_Q = "stirling2_q", True, False
-    LAH = "lah", False, True
-    LAH_Q = "lah_q", True, False
-    CHAIN_Q_CORRECTED = "chain_q_corrected", True, True
-    DECOMP_FIRST = "decomp_first", False, True
-    DECOMP_SECOND = "decomp_second", False, True
-
-    @classmethod
-    def _missing_(cls, value: object) -> "IdentityId":
-        known = ", ".join(i.value for i in cls)
-        raise ValueError(f"unknown identity {value!r}; known: {known}")
 
 
 class CheckRecord(namedtuple("CheckRecord", "n lhs rhs equal")):
@@ -334,43 +298,74 @@ def _prepare_decomp_second(shape: Shape) -> Level:
 
 
 # The lambdas look names up in this module's globals when they run, not
-# when the table is built, so a wrapper installed on those globals (as the
-# benchmark's tracer installs on f1 and the row functions) sees every call.
-_CHECKERS = {
-    IdentityId.WORPITZKY: _expansion(
+# when the members are declared, so a wrapper installed on those globals (as
+# the benchmark's tracer installs on f1 and the row functions) sees every call.
+class IdentityId(str, Enum):
+    """Registered identities and decomposition oracles, in registry order.
+
+    Each member is declared once, with its two flags and its checker:
+    `is_q` marks the identities that compute q-polynomials rather than
+    integers, `expected` is False where a failure is informative rather
+    than an error, and `checker(shape, n_max)` lists the records of levels
+    0..n_max.  An unknown name raises ValueError that lists the known ones.
+    """
+
+    is_q: bool
+    expected: bool
+    checker: Checker
+
+    def __new__(
+        cls, value: str, is_q: bool, expected: bool, checker: Checker
+    ) -> "IdentityId":
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.is_q = is_q
+        member.expected = expected
+        member.checker = checker
+        return member
+
+    WORPITZKY = "worpitzky", False, True, _expansion(
         lambda s, n: point_count(s, n),
         lambda s: eulerian_row_enum(s).values,
         lambda d, n, k: binomial(n + d + 1 - k, d),
-    ),
-    IdentityId.CARLITZ_Q: _expansion(
+    )
+    CARLITZ_Q = "carlitz_q", True, True, _expansion(
         lambda s, n: f1(s, n),
         lambda s: a_polynomials(s).values,
         lambda d, n, k: q_binomial(n + k, d),
-    ),
-    IdentityId.STIRLING2: _expansion(
+    )
+    STIRLING2 = "stirling2", False, True, _expansion(
         lambda s, n: point_count(s, n),
         lambda s: stirling2_row_enum(s).values,
         lambda d, n, k: binomial(n + 1, k),
-    ),
-    IdentityId.STIRLING2_Q: _expansion(
+    )
+    STIRLING2_Q = "stirling2_q", True, False, _expansion(
         lambda s, n: f1(s, n),
         lambda s: b_polynomials(s).values,
         lambda d, n, k: q_binomial(n + 1, k),
-    ),
-    IdentityId.LAH: _expansion(
+    )
+    LAH = "lah", False, True, _expansion(
         lambda s, n: multinomial(s.parts) * binomial(n + s.size, s.size),
         lambda s: lah_row(s).values,
         lambda d, n, k: binomial(n + 1, k),
-    ),
-    IdentityId.LAH_Q: _expansion(
+    )
+    LAH_Q = "lah_q", True, False, _expansion(
         lambda s, n: f2(s, n),
         lambda s: c_polynomials(s).values,
         lambda d, n, k: q_binomial(n + 1, k),
-    ),
-    IdentityId.CHAIN_Q_CORRECTED: _checker(_prepare_chain_q),
-    IdentityId.DECOMP_FIRST: _checker(_prepare_decomp_first),
-    IdentityId.DECOMP_SECOND: _checker(_prepare_decomp_second),
-}
+    )
+    CHAIN_Q_CORRECTED = "chain_q_corrected", True, True, _checker(_prepare_chain_q)
+    DECOMP_FIRST = "decomp_first", False, True, _checker(_prepare_decomp_first)
+    DECOMP_SECOND = "decomp_second", False, True, _checker(_prepare_decomp_second)
+
+    @classmethod
+    def _missing_(cls, value: object) -> "IdentityId":
+        known = ", ".join(i.value for i in cls)
+        raise ValueError(f"unknown identity {value!r}; known: {known}")
+
+
+# check_identity dispatches here, so a test or a tracer can patch one entry
+_CHECKERS = {identity: identity.checker for identity in IdentityId}
 
 
 def check_identity(

@@ -6,7 +6,10 @@ come from deduplicated itertools permutations, chains from filtered
 vertex sequences, partition counts from a direct recursive enumeration.
 
 Cyclotomic polynomials and the remainder modulo a monic polynomial give
-exact evaluations at roots of unity, for the cyclic sieving checks.
+exact evaluations at roots of unity, for the cyclic sieving checks.  A
+word's inversions and the q-multinomial coefficient, a product of
+Gaussian binomials from their lattice-point definition, serve MacMahon's
+equidistribution check.
 
 The region-membership tests and the enumerated generating functions at
 the end are cross-checks of the package's closed forms: they walk the
@@ -139,6 +142,32 @@ def stirling_second(n: int, k: int) -> int:
     if n == 0 or k == 0:
         return 0
     return k * stirling_second(n - 1, k) + stirling_second(n - 1, k - 1)
+
+
+def q_multinomial_coeffs(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the product over j of [d1 + ... + dj, dj]_q, each
+    factor from its lattice-point definition, multiplied out directly."""
+    coeffs = [1]
+    top = 0
+    for part in parts:
+        top += part
+        factor = brute_q_binomial_coeffs(top, part)
+        product = [0] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        coeffs = product
+    return tuple(coeffs)
+
+
+def inversions(word: Word) -> int:
+    """Pairs of positions i < j with word[i] > word[j], by a double loop."""
+    count = 0
+    for i, a in enumerate(word):
+        for b in word[i + 1 :]:
+            if a > b:
+                count += 1
+    return count
 
 
 def multiset_words(parts: tuple[int, ...]) -> set[tuple[int, ...]]:

@@ -452,10 +452,17 @@ class TestVerify:
         assert one.read_bytes() == two.read_bytes()
 
     @pytest.mark.parametrize(
-        "shape, identity", [("2000", "carlitz_q"), ("1200", "decomp_first")]
+        "shape, identity",
+        [
+            ("2000", "carlitz_q"),
+            ("1200", "decomp_first"),
+            ("1200", "worpitzky"),
+            ("1200", "decomp_second"),
+        ],
     )
     def test_shape_deeper_than_recursion_limit(self, capsys, shape, identity):
-        # both need q_binomial(n + d, d) with d above the recursion limit
+        # d is above the recursion limit; carlitz_q and decomp_first also
+        # need q_binomial(n + d, d)
         code, out, _ = run_cli(
             capsys,
             "verify", "--shape", shape, "--nmax", "1", "--identity", identity,
@@ -724,6 +731,10 @@ def test_integer_tokens_are_ascii_decimal(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+_VERIFY = "verify --dmax 2"
+_DECIMAL = "must be an ASCII decimal integer"
+
+
 class TestParser:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -766,18 +777,25 @@ class TestParser:
         assert "usage:" not in err
 
     @pytest.mark.parametrize(
-        "option, token, rule",
+        "command, option, token, rule",
         [
-            ("--workers", "0", "must be a positive integer"),
-            ("--workers", "x", "must be a positive integer"),
-            ("--time-limit", "1_0", "must be ASCII seconds with no '_'"),
-            ("--time-limit", "abc", "must be ASCII seconds with no '_'"),
+            (_VERIFY, "--workers", "0", "must be a positive integer"),
+            (_VERIFY, "--workers", "x", "must be a positive integer"),
+            (_VERIFY, "--time-limit", "1_0", "must be ASCII seconds with no '_'"),
+            (_VERIFY, "--time-limit", "abc", "must be ASCII seconds with no '_'"),
+            ("verify", "--dmax", "x", _DECIMAL),
+            (_VERIFY, "--lmax", "+1", _DECIMAL),
+            (_VERIFY, "--nmax", "\u0661", _DECIMAL),
+            ("classify --shape 2 --point 1", "--n", "1_0", _DECIMAL),
         ],
-        ids=["workers-0", "workers-x", "time-limit-_", "time-limit-abc"],
+        ids=[
+            "workers-0", "workers-x", "time-limit-_", "time-limit-abc",
+            "dmax-x", "lmax-plus", "nmax-arabic-indic", "classify-n-_",
+        ],
     )
-    def test_type_error_states_the_rule(self, capsys, option, token, rule):
+    def test_type_error_states_the_rule(self, capsys, command, option, token, rule):
         # the line names the option and its rule, not a private type function
-        code, out, err = run_cli(capsys, "verify", "--dmax", "2", option, token)
+        code, out, err = run_cli(capsys, *command.split(), option, token)
         assert (code, out) == (2, "")
         assert err == f"error: argument {option}: {rule}, got {token!r}\n"
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -28,8 +29,10 @@ from oracles import (
     EULERIAN_CLASSICAL,
     FUBINI,
     brute_eulerian_row,
+    inversions,
     iter_chains_of_word,
     ordered_partition_count,
+    q_multinomial_coeffs,
     recursive_chains,
     remainder_mod_cyclotomic,
     stirling_second,
@@ -133,6 +136,19 @@ class TestStirlingRows:
         assert stirling2_row_closed(Shape((1, 1))).value(2) == 2
         assert stirling2_row_as_printed(Shape((2, 1))).value(2) == 11
         assert stirling2_row_closed(Shape((2, 1))).value(2) == 4
+
+    def test_eulerian_stirling_transform(self):
+        # an ordered partition into k blocks, each written in increasing
+        # order, is a word cut at k - 1 positions that include its descents,
+        # so S(k) = sum over i of E(i) * C(d - 1 - i, k - 1 - i)
+        for shape in iter_shapes(7):
+            d = shape.size
+            eulerian = eulerian_row_enum(shape).values
+            transform = tuple(
+                sum(eulerian[i] * math.comb(d - 1 - i, k - 1 - i) for i in range(k))
+                for k in range(1, d + 1)
+            )
+            assert stirling2_row_enum(shape).values == transform, shape
 
     def test_row_matches_partition_oracle(self):
         for shape in iter_shapes(5):
@@ -327,3 +343,13 @@ class TestIndependentQChecks:
                 product = product * (ONE + QPolynomial.monomial(1, i))
             total = sum(c_polynomials(shape).values, ZERO)
             assert total == product * multinomial(shape.parts), shape
+
+    def test_macmahon_equidistribution(self):
+        # MacMahon (Combinatory Analysis, 1915): over a shape's words the
+        # major index, summed over the A row, and the inversion number share
+        # one distribution, the q-multinomial coefficient
+        for shape in iter_shapes(7):
+            maj = sum(a_polynomials(shape).values, ZERO).coeffs
+            inv = Counter(inversions(word) for word in iter_permutations(shape))
+            tally = tuple(inv[e] for e in range(max(inv) + 1))
+            assert maj == tally == q_multinomial_coeffs(shape.parts), shape

@@ -76,6 +76,12 @@ class TestRegistry:
             "decomp_second",
         ]
 
+    def test_checkers_are_built_from_the_members(self):
+        # each member declares its checker once; the table check_identity
+        # dispatches through maps the members to them, in registry order
+        table = [(i, i.checker) for i in IdentityId]
+        assert list(verify._CHECKERS.items()) == table
+
     def test_expected_fail_subset_of_q(self):
         expected_fail = {i for i in IdentityId if not i.expected}
         assert expected_fail == {IdentityId.STIRLING2_Q, IdentityId.LAH_Q}
