@@ -9,18 +9,20 @@ they are marked as not expected to pass, and the command line treats
 their failures as informative output instead of an error.
 
 An identity is declared once, as its `IdentityId` member: its name, its
-two flags and its checker, which says what to compute.  `_CHECKERS` is
-built from the members.  The six expansion identities share the form
-lhs(n) = sum over k of row[k] * basis_k(n), so their checkers name only the
-lhs, the row and the basis.  Every checker runs through one n-loop.
+two flags and its checker, in one of two forms.  `_CHECKERS` is built from
+the members, and every checker runs through one n-loop.
 
-The two decomposition oracles build one fiber table per job: the words
-or chains are enumerated once and grouped into classes whose members
-share their closed count and closed q-weight.  Each job also keeps one
-running table of lattice-point fibers: a point is classified at the first
-level that contains it, so level n adds only the points whose largest
-coordinate is n, and a level's table is the running table.  One pass
-over the classes checks that it is the table the closed forms predict.
+An expansion, `_expansion`, checks lhs(n) = sum of c * basis_t(n) over
+the job's (t, c) pairs: the six row identities pair each entry of their
+row with its index, and chain_q_corrected pairs the first chain of each
+block-size class with the size of the class.
+
+A decomposition, `_decomposition`, checks a decomposition oracle against
+two running tables per job.  Level n groups the words or chains it needs
+first into classes whose members share their closed count and q-weight,
+and classifies the lattice points whose largest coordinate is n, so each
+point is classified once, at the first level that contains it.  One pass
+over the classes checks that the fiber table is the one they predict.
 
 The two q-identities of chains (stirling2_q, chain_q_corrected) read one
 table of block-size classes per shape, `chain_classes`.  A run clears it
@@ -92,7 +94,7 @@ class CheckRecord(namedtuple("CheckRecord", "n lhs rhs equal")):
     n, lhs and rhs as ints or `QPolynomial`s, and whether they are equal.
 
     For decomposition oracles `equal` also covers the whole fiber table
-    (see `_fiber_level`), not only the recorded totals.
+    (see `_decomposition`), not only the recorded totals.
     """
 
     __slots__ = ()
@@ -180,17 +182,17 @@ def _checker(prepare: Callable[[Shape], Level]) -> Checker:
     return check
 
 
-def _expansion(lhs, row, basis) -> Checker:
-    """Checker for lhs(shape, n) = sum over k = 1..d of
-    row(shape)[k - 1] * basis(d, n, k), the row computed once per shape."""
+def _expansion(lhs, terms, basis) -> Checker:
+    """Checker for lhs(shape, n) = sum of c * basis(d, n, t) over the
+    (t, c) pairs of terms(shape), which are built once per job."""
 
     def prepare(shape: Shape) -> Level:
         d = shape.size
-        values = row(shape)
+        pairs = tuple(terms(shape))
 
         def level(n: int) -> CheckRecord:
             left = lhs(shape, n)
-            right = sum(values[k - 1] * basis(d, n, k) for k in range(1, d + 1))
+            right = sum(c * basis(d, n, t) for t, c in pairs)
             return CheckRecord(n, left, right, left == right)
 
         return level
@@ -198,103 +200,50 @@ def _expansion(lhs, row, basis) -> Checker:
     return _checker(prepare)
 
 
-def _prepare_chain_q(shape: Shape) -> Level:
-    # A chain's weight is a function of its block sizes alone, so the
-    # per-chain sum is regrouped exactly: one weight per block-size class,
-    # taken from its first chain, times the number of chains in the class.
-    # Every chain is still enumerated; stirling2_q reads the same table.
-    classes = chain_classes(shape)
+def _decomposition(kind: str, new_objects, key, closed) -> Checker:
+    """Checker of a decomposition oracle with running fiber and class tables.
 
-    def level(n: int) -> CheckRecord:
-        lhs = f1(shape, n)
-        rhs = QPolynomial()
-        for _, rep, count in classes:
-            rhs = rhs + chain_weight_sum(rep, n) * count
-        return CheckRecord(n, lhs, rhs, lhs == rhs)
-
-    return level
-
-
-def _fiber_level(shape: Shape, kind: str, classes: Callable) -> Level:
-    """Level function of a decomposition oracle.
-
-    The job keeps one running fiber table and point total.  Level n adds
-    the points `classify_new_points` finds, those first contained in
-    level n, so the table then holds every point of level n, each
-    classified once, at the first level that contains it.  `classes(n)`
-    yields each class of words or chains with the closed count and
-    q-weight that all its members share.  Each class's q-weight must sum
-    to its count, each member of a class with a nonzero weight must have
-    exactly that weight as its fiber, and the table must hold no other.
+    Level n adds the points `classify_new_points` first finds in level n,
+    and groups the words or chains `new_objects(shape, n)` yields by `key`
+    into classes whose members share `closed(member, n)`, their closed
+    count and q-weight.  Each class's q-weight must sum to its count, each
+    member of a class with a nonzero weight must have exactly that weight
+    as its fiber, and the fiber table must hold no other.
     """
-    fibers: Fibers = {}
-    total = 0
 
-    def level(n: int) -> CheckRecord:
-        nonlocal total
-        total += classify_new_points(kind, shape, n, fibers)
-        expected_total = point_count(shape, n)
-        ok = total == expected_total
-        size = 0  # members with a nonempty fiber
-        for members, count, weight in classes(n):
-            if sum(weight.coeffs) != count:
+    def prepare(shape: Shape) -> Level:
+        fibers: Fibers = {}
+        classes: dict = {}  # key -> members
+        total = 0
+
+        def level(n: int) -> CheckRecord:
+            nonlocal total
+            for member in new_objects(shape, n):
+                classes.setdefault(key(member), []).append(member)
+            total += classify_new_points(kind, shape, n, fibers)
+            expected_total = point_count(shape, n)
+            ok = total == expected_total
+            size = 0  # members with a nonempty fiber
+            for members in classes.values():
+                count, weight = closed(members[0], n)
+                if sum(weight.coeffs) != count:
+                    ok = False
+                # tallies hold only positive counts and members are distinct
+                # fiber keys, so with the size check below the table is the
+                # predicted one
+                fiber = {e: c for e, c in enumerate(weight.coeffs) if c}
+                if fiber:
+                    size += len(members)
+                    for member in members:
+                        if fibers.get(member) != fiber:
+                            ok = False
+            if size != len(fibers):
                 ok = False
-            # tallies hold only positive counts and members are distinct
-            # keys, so with the size check below the table is the predicted one
-            closed = {e: c for e, c in enumerate(weight.coeffs) if c}
-            if closed:
-                size += len(members)
-                for key in members:
-                    if fibers.get(key) != closed:
-                        ok = False
-        if size != len(fibers):
-            ok = False
-        return CheckRecord(n, expected_total, total, ok)
+            return CheckRecord(n, expected_total, total, ok)
 
-    return level
+        return level
 
-
-def _prepare_decomp_first(shape: Shape) -> Level:
-    """Fiber table of a first-kind job: the words, enumerated once and
-    grouped by (descent count, major index), on which `region_point_count`
-    and `region_gf` depend."""
-    words: dict[tuple[int, int], list] = {}
-    for word in iter_permutations(shape):
-        ds = descent_set(word)
-        words.setdefault((len(ds), sum(ds)), []).append(word)
-
-    def classes(n: int):
-        for members in words.values():
-            rep = members[0]
-            yield members, region_point_count(rep, n), region_gf(rep, n)
-
-    return _fiber_level(shape, "first", classes)
-
-
-def _prepare_decomp_second(shape: Shape) -> Level:
-    """Fiber table of a second-kind job: the chains, grouped by block
-    sizes, on which `chain_weight_sum` depends."""
-    # by_k[k] lists the classes of k-block chains, enumerated when a
-    # level first needs them
-    by_k: list[list[list]] = [[]]
-
-    def classes(n: int):
-        # A chain with k > n + 1 blocks has an empty fiber: C(n+1, k) = 0
-        # points and weight zero.  Those chains are not visited; a point
-        # classified into one is a fiber the closed forms do not predict,
-        # so the table is larger than predicted and the record fails.
-        for k in range(1, min(shape.size, n + 1) + 1):
-            if k == len(by_k):
-                groups: dict[tuple[int, ...], list] = {}
-                for chain in iter_chains(shape, k):
-                    sizes = chain_block_sizes(chain)
-                    groups.setdefault(sizes, []).append(chain)
-                by_k.append(list(groups.values()))
-            for members in by_k[k]:
-                weight = chain_weight_sum(members[0], n)
-                yield members, chain_region_count(k, n), weight
-
-    return _fiber_level(shape, "second", classes)
+    return _checker(prepare)
 
 
 # The lambdas look names up in this module's globals when they run, not
@@ -326,37 +275,61 @@ class IdentityId(str, Enum):
 
     WORPITZKY = "worpitzky", False, True, _expansion(
         lambda s, n: point_count(s, n),
-        lambda s: eulerian_row_enum(s).values,
+        lambda s: enumerate(eulerian_row_enum(s).values, 1),
         lambda d, n, k: binomial(n + d + 1 - k, d),
     )
     CARLITZ_Q = "carlitz_q", True, True, _expansion(
         lambda s, n: f1(s, n),
-        lambda s: a_polynomials(s).values,
+        lambda s: enumerate(a_polynomials(s).values, 1),
         lambda d, n, k: q_binomial(n + k, d),
     )
     STIRLING2 = "stirling2", False, True, _expansion(
         lambda s, n: point_count(s, n),
-        lambda s: stirling2_row_enum(s).values,
+        lambda s: enumerate(stirling2_row_enum(s).values, 1),
         lambda d, n, k: binomial(n + 1, k),
     )
     STIRLING2_Q = "stirling2_q", True, False, _expansion(
         lambda s, n: f1(s, n),
-        lambda s: b_polynomials(s).values,
+        lambda s: enumerate(b_polynomials(s).values, 1),
         lambda d, n, k: q_binomial(n + 1, k),
     )
     LAH = "lah", False, True, _expansion(
         lambda s, n: multinomial(s.parts) * binomial(n + s.size, s.size),
-        lambda s: lah_row(s).values,
+        lambda s: enumerate(lah_row(s).values, 1),
         lambda d, n, k: binomial(n + 1, k),
     )
     LAH_Q = "lah_q", True, False, _expansion(
         lambda s, n: f2(s, n),
-        lambda s: c_polynomials(s).values,
+        lambda s: enumerate(c_polynomials(s).values, 1),
         lambda d, n, k: q_binomial(n + 1, k),
     )
-    CHAIN_Q_CORRECTED = "chain_q_corrected", True, True, _checker(_prepare_chain_q)
-    DECOMP_FIRST = "decomp_first", False, True, _checker(_prepare_decomp_first)
-    DECOMP_SECOND = "decomp_second", False, True, _checker(_prepare_decomp_second)
+    # A chain's weight is a function of its block sizes alone, so the
+    # per-chain sum is regrouped exactly: one weight per block-size class,
+    # taken from its first chain, times the number of chains in the class.
+    # Every chain is still enumerated; stirling2_q reads the same table.
+    CHAIN_Q_CORRECTED = "chain_q_corrected", True, True, _expansion(
+        lambda s, n: f1(s, n),
+        lambda s: ((rep, count) for _, rep, count in chain_classes(s)),
+        lambda d, n, rep: chain_weight_sum(rep, n),
+    )
+    # The words, enumerated at level 0, grouped by (descent count, major
+    # index), on which region_point_count and region_gf depend.
+    DECOMP_FIRST = "decomp_first", False, True, _decomposition(
+        "first",
+        lambda s, n: iter_permutations(s) if n == 0 else (),
+        lambda w: (len(ds := descent_set(w)), sum(ds)),
+        lambda w, n: (region_point_count(w, n), region_gf(w, n)),
+    )
+    # Level n enumerates the chains of n + 1 blocks, grouped by block sizes,
+    # on which chain_weight_sum depends.  A chain of k > n + 1 blocks has
+    # C(n+1, k) = 0 points and weight zero, so a point classified into one is
+    # a fiber the closed forms do not predict, and the record fails.
+    DECOMP_SECOND = "decomp_second", False, True, _decomposition(
+        "second",
+        lambda s, n: iter_chains(s, n + 1),
+        lambda c: chain_block_sizes(c),
+        lambda c, n: (chain_region_count(len(c) - 1, n), chain_weight_sum(c, n)),
+    )
 
     @classmethod
     def _missing_(cls, value: object) -> "IdentityId":
@@ -454,7 +427,9 @@ def _serve(conn) -> None:
         try:
             conn.send(check_identity(*conn.recv()))
         except Exception as exc:
-            exc.__notes__ = [traceback.format_exc()]  # pickling keeps a note
+            # the checker's own notes stay, and pickling keeps every note
+            # (add_note is new in Python 3.11)
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:
@@ -462,6 +437,9 @@ def _serve(conn) -> None:
                 stand_in.__notes__ = exc.__notes__
                 exc = stand_in
             conn.send(exc)
+
+
+_MAX_WORKERS = 64  # a run starts at most this many worker processes
 
 
 class SuiteRun:
@@ -511,7 +489,9 @@ class SuiteRun:
         started = []  # every worker and its pipe, reaped on every way out
         running = {}  # pipe -> (worker, index of its job)
         results: dict = {}  # index -> report or exception, until yielded
-        handed = min(self.workers, len(self.jobs))  # jobs handed out so far
+        # jobs handed out so far; the report stream is the same for every
+        # worker count, so the ceiling changes only the processes started
+        handed = min(self.workers, _MAX_WORKERS, len(self.jobs))
         try:
             for job in range(handed):
                 pipe, child = Pipe()

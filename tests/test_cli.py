@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,6 +21,20 @@ from multiset_eulerian.combinatorics import Shape
 
 
 DATA = Path(__file__).parent / "data" / "cli"
+REF = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
+
+_DECOMP_POINTS = ("--identity", "decomp_first,decomp_second", "--nmax", "4")
+_CHAIN_Q = (
+    "--identity", "stirling2,stirling2_q,lah_q,chain_q_corrected", "--nmax", "2"
+)
+# each benchmark command's selection and worker count, by reference stream
+_BENCHMARK_COMMANDS = {
+    "suite_q": (("--dmax", "5", "--nmax", "6", "--q"), "2"),
+    "decomp_points.2-2-2-1": ((*_DECOMP_POINTS, "--shape", "2,2,2,1"), "1"),
+    "decomp_points.1-1-1-1-1-1": ((*_DECOMP_POINTS, "--shape", "1,1,1,1,1,1"), "1"),
+    "chain_q.3-2-2-1": ((*_CHAIN_Q, "--shape", "3,2,2,1"), "1"),
+    "chain_q.3-3-1-1": ((*_CHAIN_Q, "--shape", "3,3,1,1"), "1"),
+}
 
 
 def run_cli(capsys, *argv):
@@ -491,13 +506,38 @@ class TestVerify:
         assert done.stdout == "[]\n3 []\n", done.stderr
 
     def test_time_limit_truncates(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--dmax", "2", "--time-limit", "0"
+        # a budget spent before the run starts, and a timed serial run: its
+        # decomp_second job alone runs for about a minute, and the one worker
+        # process that runs it is terminated at the 0.5 s budget
+        job_in_progress = (
+            "--shape", "1,1,1,1,1,1,1,1", "--nmax", "6",
+            "--identity", "decomp_second", "--workers", "1", "--time-limit", "0.5",
         )
+        for argv, total in (
+            (("--dmax", "2", "--time-limit", "0"), 15),
+            (job_in_progress, 1),
+        ):
+            start = time.monotonic()
+            code, out, _ = run_cli(capsys, "verify", *argv)
+            assert time.monotonic() - start < 5
+            assert code == 3
+            assert out == f'{{"truncated":true,"completed":0,"total":{total}}}\n'
+
+    @pytest.mark.parametrize("name", list(_BENCHMARK_COMMANDS))
+    def test_reference_stream(self, capsys, name):
+        # each benchmark command's output, pinned byte for byte, and its
+        # set-up form, which the benchmark times: one worker and a spent
+        # budget give the marker alone, whose total is the stream's length
+        argv, workers = _BENCHMARK_COMMANDS[name]
+        ref = (REF / f"{name}.jsonl").read_text()
+        code, out, _ = run_cli(capsys, "verify", *argv, "--workers", workers)
+        assert out == ref
+        assert code == 0
+        setup = (*argv, "--workers", "1", "--time-limit", "0")
+        code, out, _ = run_cli(capsys, "verify", *setup)
         assert code == 3
-        lines = out.splitlines()
-        marker = json.loads(lines[-1])
-        assert marker == {"truncated": True, "completed": 0, "total": 15}
+        total = len(ref.splitlines())
+        assert out == f'{{"truncated":true,"completed":0,"total":{total}}}\n'
 
     @pytest.mark.usefixtures("fork_workers")
     @pytest.mark.parametrize("workers", ["1", "2"])

@@ -4,7 +4,6 @@ import os
 import signal
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -26,21 +25,18 @@ from multiset_eulerian.verify import (
 )
 from oracles import brute_chains, ordered_partition_count
 
-REF = Path(__file__).resolve().parent.parent / "perfbench" / "ref"
 
-# each benchmark workload's `suite_jobs` selection and worker count; a
-# workload over listed shapes has one reference stream per shape
-WORKLOADS = {
-    "suite_q": (dict(d_max=5, n_max=6, include_q=True), 2),
-    "decomp_points": (dict(n_max=4, identities=["decomp_first", "decomp_second"]), 1),
-    "chain_q": (
-        dict(
-            n_max=2,
-            identities=["stirling2", "stirling2_q", "lah_q", "chain_q_corrected"],
-        ),
-        1,
-    ),
-}
+def _count_starts(monkeypatch):
+    """The list of processes that runs start from now on."""
+    started = []
+    start = multiprocessing.Process.start
+
+    def counted_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counted_start)
+    return started
 
 
 def _iterate_on_thread(run, seconds):
@@ -294,6 +290,21 @@ class TestPassingIdentities:
         assert [r.equal for r in records] == [False, False]
         assert all(r.lhs == r.rhs for r in records)
 
+    def test_decomp_second_enumerates_one_block_count_per_level(self, monkeypatch):
+        # level n first needs the chains of n + 1 blocks; a chain of more
+        # blocks has an empty fiber there, and on a deep shape such as 1200
+        # there are too many of them to enumerate
+        asked = []
+        enumerate_chains = verify.iter_chains
+
+        def recorded(shape, k):
+            asked.append(k)
+            return enumerate_chains(shape, k)
+
+        monkeypatch.setattr(verify, "iter_chains", recorded)
+        assert check_identity(IdentityId.DECOMP_SECOND, Shape((1,) * 6), 2).passed
+        assert asked == [1, 2, 3]
+
     def test_shape_with_many_copies_of_one_letter(self):
         # 1200 copies of one letter, deeper than the recursion limit
         for identity in ("worpitzky", "decomp_first", "decomp_second"):
@@ -450,42 +461,23 @@ class TestSuite:
             r.to_json_line() for r in pooled
         ]
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "suite_q",
-            "decomp_points.2-2-2-1",
-            "decomp_points.1-1-1-1-1-1",
-            "chain_q.3-2-2-1",
-            "chain_q.3-3-1-1",
-        ],
-    )
-    def test_reference_stream(self, name):
-        # each benchmark workload's output, pinned byte for byte
-        workload, _, parts = name.partition(".")
-        selection, workers = WORKLOADS[workload]
-        if parts:
-            shape = Shape(tuple(int(p) for p in parts.split("-")))
-            selection = dict(selection, shapes=[shape])
-        run = SuiteRun(suite_jobs(**selection), workers=workers)
-        stream = "".join(r.to_json_line() + "\n" for r in run)
-        assert stream == (REF / f"{name}.jsonl").read_text()
-
     def test_pool_starts_no_more_processes_than_jobs(self, monkeypatch):
-        started = []
-        start = multiprocessing.Process.start
-
-        def counted_start(process):
-            started.append(process)
-            start(process)
-
-        monkeypatch.setattr(multiprocessing.Process, "start", counted_start)
+        started = _count_starts(monkeypatch)
         jobs = suite_jobs(shapes=[Shape((1,)), Shape((2,))], identities=["lah"])
         reports = list(SuiteRun(jobs, workers=10**6))
         assert len(started) == 2
         assert [r.shape for r in reports] == [Shape((1,)), Shape((2,))]
         # every worker is reaped when the run ends
         assert [p.exitcode for p in started] == [-signal.SIGTERM] * 2
+
+    def test_pool_starts_no_more_processes_than_the_ceiling(self, monkeypatch):
+        started = _count_starts(monkeypatch)
+        monkeypatch.setattr(verify, "_MAX_WORKERS", 2)
+        shapes = [Shape((1,)), Shape((2,)), Shape((3,))]
+        jobs = suite_jobs(shapes=shapes, identities=["lah"], n_max=2)
+        pooled = [r.to_json_line() for r in SuiteRun(jobs, workers=10)]
+        assert len(started) == 2
+        assert pooled == [r.to_json_line() for r in SuiteRun(jobs)]
 
     def test_idle_worker_waits_to_be_terminated(self, monkeypatch):
         # A spawned worker holds only its own end of its pipe.  The second
@@ -569,6 +561,25 @@ class TestSuite:
         assert elapsed < 2
         assert run.truncated
         assert reports == []
+
+    @pytest.mark.usefixtures("fork_workers")
+    @pytest.mark.parametrize("workers, time_limit", [(2, None), (1, 5)])
+    def test_worker_keeps_the_notes_of_a_job_error(
+        self, monkeypatch, workers, time_limit
+    ):
+        # the worker appends its traceback to the checker's own notes
+        def checker(shape, n_max):
+            error = ValueError("bad shape")
+            error.__notes__ = ["context"]  # add_note is new in Python 3.11
+            raise error
+
+        monkeypatch.setitem(verify._CHECKERS, IdentityId.LAH, checker)
+        run = SuiteRun([(IdentityId.LAH, Shape((1,)), 0)], workers, time_limit)
+        with pytest.raises(ValueError, match="bad shape") as info:
+            list(run)
+        context, traceback = info.value.__notes__
+        assert context == "context"
+        assert ", in checker\n" in traceback
 
     @pytest.mark.usefixtures("fork_workers")
     def test_dead_worker_is_an_error(self, monkeypatch):
