@@ -32,14 +32,19 @@ by letter.  A node of the sweep at depth m carries the sorted integer
 codes of the tuples chosen for the first m letters and their coordinate
 sum, so each factor tuple's codes and sum are built once and a child only
 merges one tuple into its parent's sorted list; a leaf builds its point's
-key from the codes in place.  :func:`classify_first` and
-:func:`classify_second` are the one-point case of the same sweep.
+key from the codes in place.  The reading word of a shape with a
+single-copy letter beside other letters is the exception: that letter is
+the leaf level, and a leaf's word is its parent's word with the letter
+inserted where its one code sorts in, so the leaf needs no sort.
+:func:`classify_first` and :func:`classify_second` are the one-point case
+of the same sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -139,8 +144,9 @@ def _sweep(
     some coordinate equal to `top` are visited.
 
     Returns the number of points classified.  The stack holds at most one
-    entry per tuple of each factor, never the points; the last factor's
-    tuples are merged in at the leaves.
+    entry per tuple of each factor, never the points; the tuples of one
+    factor, the leaf level, are merged in at the leaves.  It is the last
+    factor, except for the insertion path below.
 
     A coordinate of value v of letter j (numbered from 1) is coded as the
     integer (N - v) * (L + 1) + j, where N is the largest value and L the
@@ -150,11 +156,22 @@ def _sweep(
     classification total and forces a strict value drop at every descent
     of the reading word, which is the half-open region condition.
 
-    The reading word maps each sorted code to its letter.  The chain keeps
-    the running content as one integer, one digit per letter in radix
-    max(parts) + 1, and reads off a vertex wherever the value drops; the
-    top class may sit at the dilation bound and the bottom one at 0, so
-    the number of blocks is the number of distinct values.
+    The reading word maps each sorted code to its letter.  The insertion
+    path serves the first kind when there are two letters or more and one
+    of them has a single copy: the last such letter's factor is the leaf
+    level.  A parent node maps its codes to its word once, and each
+    distinct parent word in the call builds once the row of words with
+    that letter inserted at every place; a leaf's word is the row's entry
+    at the place `bisect` finds for its one code.  Codes of different
+    letters never tie, so that place is the exact merge position, with the
+    letter tie order kept.  The second kind, and the first kind of a shape
+    with no single-copy letter, sort each leaf's merged codes instead.
+
+    The chain keeps the running content as one integer, one digit per
+    letter in radix max(parts) + 1, and reads off a vertex wherever the
+    value drops; the top class may sit at the dilation bound and the
+    bottom one at 0, so the number of blocks is the number of distinct
+    values.
     """
     first = kind == "first"
     letters = len(factors)
@@ -181,7 +198,14 @@ def _sweep(
     # content integer -> its vertex, built as met, so every chain shares
     # the vertex tuples; a chain runs from 0 up to the full content `parts`
     vertices = {0: (0,) * letters}
-    last = levels.pop() if levels else [([], 0, False)]
+    # the insertion path: the last single-copy letter's tuples are the leaves
+    insert = first and letters > 1 and 1 in parts
+    if insert:
+        j = letters - parts[::-1].index(1)
+        last = levels.pop(j - 1)
+        rows = {}  # parent word -> the words with j inserted at each place
+    else:
+        last = levels.pop() if levels else [([], 0, False)]
     last_top = [entry for entry in last if entry[2]]
     total = 0
     # a node is new once one of its tuples holds `top` (from the root when
@@ -193,6 +217,23 @@ def _sweep(
         if depth < len(levels):
             for keyed, t, has_top in levels[depth]:
                 stack.append((sorted(codes + keyed), s + t, depth + 1, new or has_top))
+            continue
+        if insert:
+            word = tuple(map(letter_of, codes))
+            row = rows.get(word)
+            if row is None:
+                row = rows[word] = [
+                    word[:p] + (j,) + word[p:] for p in range(len(word) + 1)
+                ]
+            # no code of another letter ties with c: the exact merge place
+            for (c,), t, _ in last if new else last_top:
+                key = row[bisect(codes, c)]
+                bucket = fibers.get(key)
+                if bucket is None:
+                    bucket = fibers[key] = {}
+                weight = s + t
+                bucket[weight] = bucket.get(weight, 0) + 1
+                total += 1
             continue
         for keyed, t, _ in last if new else last_top:
             merged = codes + keyed

@@ -9,7 +9,8 @@ Cyclotomic polynomials and the remainder modulo a monic polynomial give
 exact evaluations at roots of unity, for the cyclic sieving checks.  A
 word's inversions and the q-multinomial coefficient, a product of
 Gaussian binomials from their lattice-point definition, serve MacMahon's
-equidistribution check.
+equidistribution check.  A Sturm sequence over exact fractions counts a
+polynomial's distinct real roots, for the real-roots check.
 
 The region-membership tests and the enumerated generating functions at
 the end are cross-checks of the package's closed forms: they walk the
@@ -24,6 +25,7 @@ gaps between elements, sorted into the package's shape order.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -132,6 +134,59 @@ def remainder_mod_cyclotomic(poly: QPolynomial, m: int) -> QPolynomial:
     """`poly` modulo the m-th cyclotomic polynomial: its value at a
     primitive m-th root of unity, as a polynomial of degree below phi(m)."""
     return QPolynomial(_divide_monic(poly.coeffs, cyclotomic(m))[1])
+
+
+def _trimmed(coeffs) -> list:
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def sturm_sequence(coeffs) -> list[list[Fraction]]:
+    """Sturm sequence of the polynomial with coefficients `coeffs`, lowest
+    degree first: p, p', then each negated remainder of the two before it,
+    by long division over fractions, until the remainder is zero.  The
+    last entry is a greatest common divisor of p and p'."""
+    p = _trimmed(map(Fraction, coeffs))
+    sequence = [p]
+    q = [i * c for i, c in enumerate(p)][1:]
+    while q:
+        sequence.append(q)
+        rem = list(p)
+        while len(rem) >= len(q):
+            c = rem[-1] / q[-1]
+            shift = len(rem) - len(q)
+            for i, m in enumerate(q):
+                rem[shift + i] -= c * m
+            rem = _trimmed(rem)
+        p, q = q, [-c for c in rem]
+    return sequence
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm_count(sequence: list[list[Fraction]]) -> int:
+    # sign changes at minus infinity less those at plus infinity, each read
+    # off the leading coefficients
+    at_top = [s[-1] for s in sequence]
+    at_bottom = [s[-1] if len(s) % 2 else -s[-1] for s in sequence]
+    return _sign_changes(at_bottom) - _sign_changes(at_top)
+
+
+def distinct_real_roots(coeffs) -> int:
+    """Number of distinct real roots, by Sturm's theorem."""
+    return _sturm_count(sturm_sequence(coeffs))
+
+
+def is_real_rooted(coeffs) -> bool:
+    """Whether every root is real: the distinct real roots number the
+    degree of the squarefree part p / gcd(p, p')."""
+    sequence = sturm_sequence(coeffs)
+    return _sturm_count(sequence) == len(sequence[0]) - len(sequence[-1])
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import bisect
 import inspect
 import itertools
 import sys
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multiset_eulerian import lattice
 from multiset_eulerian.combinatorics import (
     Shape,
     chain_block_sizes,
@@ -239,11 +241,25 @@ class TestSweep:
             ((1,) * 11, 1),
             ((5, 1), 4),  # a content digit above the letter count
             ((1, 5), 4),
+            ((1, 2), 10),  # a single-copy letter first, then in the middle,
+            ((2, 1, 2), 6),  # inserted among many distinct values
         ],
     )
     def test_integer_codes_at_their_edges(self, kind, parts, n_max):
         _check_levels(kind, Shape(parts), n_max)
         _check_running(kind, Shape(parts), n_max)
+
+    def test_insertion_place_is_checked(self, monkeypatch):
+        # a planted fault: the first kind inserts a single-copy letter one
+        # place early in its parent's word
+        monkeypatch.setattr(
+            lattice, "bisect", lambda codes, c: max(bisect.bisect(codes, c) - 1, 0)
+        )
+        for parts in [(1, 2, 2), (2, 1, 2), (2, 2, 1)]:
+            with pytest.raises(AssertionError):
+                _check_levels("first", Shape(parts), 2)
+            _check_levels("second", Shape(parts), 2)
+        _check_levels("first", Shape((2, 2)), 2)  # no single-copy letter
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,9 @@ from oracles import (
     EULERIAN_CLASSICAL,
     FUBINI,
     brute_eulerian_row,
+    distinct_real_roots,
     inversions,
+    is_real_rooted,
     iter_chains_of_word,
     ordered_partition_count,
     q_multinomial_coeffs,
@@ -353,3 +355,50 @@ class TestIndependentQChecks:
             inv = Counter(inversions(word) for word in iter_permutations(shape))
             tally = tuple(inv[e] for e in range(max(inv) + 1))
             assert maj == tally == q_multinomial_coeffs(shape.parts), shape
+
+
+def _not_real_rooted(row):
+    """Shapes with d <= 10 whose row, read as the polynomial with the row's
+    entries as coefficients from t**0 up, has a root that is not real."""
+    return [
+        shape.parts
+        for shape in iter_shapes(10)
+        if not is_real_rooted(row(shape).values)
+    ]
+
+
+class TestRealRoots:
+    def test_sturm_count_examples(self):
+        examples = {
+            (1, 0, 1): (0, False),  # 1 + t^2
+            (1, 2, 1): (1, True),  # (1 + t)^2
+            (1, 4, 1): (2, True),  # 1 + 4t + t^2
+            (1, 0, 0, 1): (1, False),  # 1 + t^3
+        }
+        for coeffs, (roots, real) in examples.items():
+            assert distinct_real_roots(coeffs) == roots, coeffs
+            assert is_real_rooted(coeffs) is real, coeffs
+
+    def test_closed_rows_are_real_rooted(self):
+        # Simion (JCTA 36, 1984): a multiset's descent polynomial, the sum
+        # of E(i) t^i, has only real roots; the Eulerian-Stirling transform
+        # carries that to S(t)/t, the sum of S(k) t^(k-1).  The closed rows
+        # reach d = 10 without enumeration
+        assert _not_real_rooted(eulerian_row_closed) == []
+        assert _not_real_rooted(stirling2_row_closed) == []
+
+    def test_raised_entry_is_not_real_rooted(self):
+        # a planted fault: the first entry of every descent row raised by 1
+        def raised(shape):
+            row = eulerian_row_closed(shape)
+            return row._replace(values=(row.values[0] + 1,) + row.values[1:])
+
+        assert _not_real_rooted(raised) == [
+            (4, 5),
+            (5, 4),
+            (3, 7),
+            (4, 6),
+            (5, 5),
+            (6, 4),
+            (7, 3),
+        ]
