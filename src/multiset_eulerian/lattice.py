@@ -32,10 +32,13 @@ by letter.  A node of the sweep at depth m carries the sorted integer
 codes of the tuples chosen for the first m letters and their coordinate
 sum, so each factor tuple's codes and sum are built once and a child only
 merges one tuple into its parent's sorted list; a leaf builds its point's
-key from the codes in place.  The reading word of a shape with a
-single-copy letter beside other letters is the exception: that letter is
-the leaf level, and a leaf's word is its parent's word with the letter
-inserted where its one code sorts in, so the leaf needs no sort.
+key from the codes in place.  A shape with a single-copy letter beside
+other letters is the exception, for both kinds: that letter is the leaf
+level, and a leaf's place in its parent's word, or among its parent's
+value blocks, is where its one code sorts in, so the leaf needs no sort
+and builds no key.  Each place of a parent pattern holds the bucket of
+the fiber table its leaves land in; these rows belong to that one table
+and live as long as it does, one job's worth of levels.
 :func:`classify_first` and :func:`classify_second` are the one-point case
 of the same sweep.
 """
@@ -77,6 +80,8 @@ __all__ = [
 Point = tuple[tuple[int, ...], ...]
 # fiber key (word or chain) -> {coordinate sum: number of points}
 Fibers = dict[tuple, dict[int, int]]
+# a parent's pattern -> per place, the bucket in `Fibers` its leaves land in
+Rows = dict[tuple, list]
 
 
 # bounded memory: `verify --dmax 6 --nmax 6 --q` fills 42 entries
@@ -136,6 +141,7 @@ def _sweep(
     kind: str,
     factors: Sequence[Sequence[tuple[int, ...]]],
     fibers: Fibers,
+    rows: Rows,
     top: int | None = None,
 ) -> int:
     """Classify the points of the product of `factors` (the coordinate
@@ -156,22 +162,28 @@ def _sweep(
     classification total and forces a strict value drop at every descent
     of the reading word, which is the half-open region condition.
 
-    The reading word maps each sorted code to its letter.  The insertion
-    path serves the first kind when there are two letters or more and one
-    of them has a single copy: the last such letter's factor is the leaf
-    level.  A parent node maps its codes to its word once, and each
-    distinct parent word in the call builds once the row of words with
-    that letter inserted at every place; a leaf's word is the row's entry
-    at the place `bisect` finds for its one code.  Codes of different
-    letters never tie, so that place is the exact merge position, with the
-    letter tie order kept.  The second kind, and the first kind of a shape
-    with no single-copy letter, sort each leaf's merged codes instead.
+    The reading word maps each sorted code to its letter.  The chain keeps
+    the running content as one integer, one digit per letter in radix
+    max(parts) + 1, and reads off a vertex wherever the value drops; the
+    top class may sit at the dilation bound and the bottom one at 0, so
+    the number of blocks is the number of distinct values.
 
-    The chain keeps the running content as one integer, one digit per
-    letter in radix max(parts) + 1, and reads off a vertex wherever the
-    value drops; the top class may sit at the dilation bound and the
-    bottom one at 0, so the number of blocks is the number of distinct
-    values.
+    The insertion path serves both kinds when there are two letters or
+    more and one of them, j, has a single copy: the last such letter's
+    factor is the leaf level.  A parent node computes once its pattern and
+    its places.  For the first kind they are its word and its codes, and
+    a leaf's place r = `bisect(places, c)` of its one code c is where j
+    enters the word; codes of different letters never tie, so that is the
+    exact merge position, with the letter tie order kept.  For the second
+    kind the pattern is the content integer before each value block, then
+    the whole content, and the places are each block's code bounds
+    [low, high), the codes of its value; an odd r means j joins block
+    (r - 1) / 2, and an even r means j opens a new block after r / 2
+    blocks.  A leaf then tallies into `rows[pattern][r]`, the bucket of
+    its fiber in `fibers`, built with its key when the first point lands
+    in it.  The pattern does not depend on the level, so one `rows` serves
+    every level of one table, and only that table.  A shape with no
+    single-copy letter sorts each leaf's merged codes instead.
     """
     first = kind == "first"
     letters = len(factors)
@@ -199,11 +211,10 @@ def _sweep(
     # the vertex tuples; a chain runs from 0 up to the full content `parts`
     vertices = {0: (0,) * letters}
     # the insertion path: the last single-copy letter's tuples are the leaves
-    insert = first and letters > 1 and 1 in parts
+    insert = letters > 1 and 1 in parts
     if insert:
         j = letters - parts[::-1].index(1)
         last = levels.pop(j - 1)
-        rows = {}  # parent word -> the words with j inserted at each place
     else:
         last = levels.pop() if levels else [([], 0, False)]
     last_top = [entry for entry in last if entry[2]]
@@ -219,18 +230,45 @@ def _sweep(
                 stack.append((sorted(codes + keyed), s + t, depth + 1, new or has_top))
             continue
         if insert:
-            word = tuple(map(letter_of, codes))
-            row = rows.get(word)
+            if first:
+                pattern = tuple(map(letter_of, codes))
+                places = codes
+            else:
+                contents = []  # before each value block, then the whole
+                places = []
+                x = 0
+                bound = 0
+                for c in codes:
+                    if c >= bound:
+                        contents.append(x)
+                        low = c - c % width
+                        bound = low + width
+                        places.append(low)
+                        places.append(bound)
+                    x += table[c]
+                contents.append(x)
+                pattern = tuple(contents)
+            row = rows.get(pattern)
             if row is None:
-                row = rows[word] = [
-                    word[:p] + (j,) + word[p:] for p in range(len(word) + 1)
-                ]
-            # no code of another letter ties with c: the exact merge place
+                row = rows[pattern] = [None] * (len(places) + 1)
             for (c,), t, _ in last if new else last_top:
-                key = row[bisect(codes, c)]
-                bucket = fibers.get(key)
+                # c ties with no place: r is the exact merge place (first
+                # kind), or odd inside a value block, even between two
+                r = bisect(places, c)
+                bucket = row[r]
                 if bucket is None:
-                    bucket = fibers[key] = {}
+                    if first:
+                        key = pattern[:r] + (letter_of(c),) + pattern[r:]
+                    else:
+                        # the blocks after j's own block hold j as well
+                        xs = pattern[: r // 2 + 1] + tuple(
+                            x + table[c] for x in pattern[(r + 1) // 2 :]
+                        )
+                        for x in xs:
+                            if x not in vertices:
+                                vertices[x] = _vertex(x, radix, letters)
+                        key = tuple(map(vertices.__getitem__, xs))
+                    bucket = row[r] = fibers.setdefault(key, {})
                 weight = s + t
                 bucket[weight] = bucket.get(weight, 0) + 1
                 total += 1
@@ -264,7 +302,9 @@ def _sweep(
     return total
 
 
-def classify_new_points(kind: str, shape: Shape, n: int, fibers: Fibers) -> int:
+def classify_new_points(
+    kind: str, shape: Shape, n: int, fibers: Fibers, rows: Rows
+) -> int:
     """Classify the lattice points of the n-fold dilation that are not in
     the (n-1)-fold one, those whose largest coordinate is n, and tally
     them into the running table `fibers`.
@@ -274,19 +314,22 @@ def classify_new_points(kind: str, shape: Shape, n: int, fibers: Fibers) -> int:
     sum: number of points}.  Returns the number of new points.  Called
     for n = 0, 1, ... in turn on one table, it classifies each point
     once, at the first level that contains it, and leaves the table of
-    every point of the last level.
+    every point of the last level.  `rows` is the table's row memo, empty
+    at the first call and passed with the table to every later one: it
+    holds buckets of that table (see `_sweep`), so a new table needs a new
+    memo.
     """
     if kind not in ("first", "second"):
         raise ValueError(f"unknown classification kind {kind!r}")
     if n < 0:
         raise ValueError("dilation level must be nonnegative")
     factors = [_factor_points(p, n) for p in shape.parts]
-    return _sweep(kind, factors, fibers, n)
+    return _sweep(kind, factors, fibers, rows, n)
 
 
 def _point_key(kind: str, point: Point) -> tuple:
     fibers: Fibers = {}
-    _sweep(kind, [(xs,) for xs in point], fibers)
+    _sweep(kind, [(xs,) for xs in point], fibers, {})
     (key,) = fibers
     return key
 

@@ -59,6 +59,7 @@ from .combinatorics import (
 )
 from .lattice import (
     Fibers,
+    Rows,
     chain_region_count,
     chain_weight_sum,
     classify_new_points,
@@ -208,11 +209,15 @@ def _decomposition(kind: str, new_objects, key, closed) -> Checker:
     into classes whose members share `closed(member, n)`, their closed
     count and q-weight.  Each class's q-weight must sum to its count, each
     member of a class with a nonzero weight must have exactly that weight
-    as its fiber, and the fiber table must hold no other.
+    as its fiber, and the fiber table must hold no other.  The job's row
+    memo holds buckets of its fiber table, so the two live and die
+    together: a parent pattern's row, built at one level, serves every
+    later level of the job.
     """
 
     def prepare(shape: Shape) -> Level:
         fibers: Fibers = {}
+        rows: Rows = {}  # parent pattern -> buckets of `fibers`
         classes: dict = {}  # key -> members
         total = 0
 
@@ -220,7 +225,7 @@ def _decomposition(kind: str, new_objects, key, closed) -> Checker:
             nonlocal total
             for member in new_objects(shape, n):
                 classes.setdefault(key(member), []).append(member)
-            total += classify_new_points(kind, shape, n, fibers)
+            total += classify_new_points(kind, shape, n, fibers, rows)
             expected_total = point_count(shape, n)
             ok = total == expected_total
             size = 0  # members with a nonempty fiber

@@ -199,21 +199,23 @@ def _oracle_table(kind, shape, n, new_only):
 
 
 def _check_levels(kind, shape, n_max):
-    # each level alone, tallied into an empty table, holds the points
-    # whose largest coordinate is n
+    # each level alone, tallied into an empty table with its own row memo,
+    # holds the points whose largest coordinate is n
     for n in range(n_max + 1):
         table = {}
-        new = classify_new_points(kind, shape, n, table)
+        new = classify_new_points(kind, shape, n, table, {})
         assert (new, table) == _oracle_table(kind, shape, n, new_only=True)
 
 
 def _check_running(kind, shape, n_max):
-    # the levels tallied into one running table leave, after level n, the
-    # table of every point of level n
+    # the levels tallied into one running table, with one row memo kept
+    # for the whole job, leave after level n the table of every point of
+    # level n
     fibers = {}
+    rows = {}
     total = 0
     for n in range(n_max + 1):
-        new = classify_new_points(kind, shape, n, fibers)
+        new = classify_new_points(kind, shape, n, fibers, rows)
         # point_count(shape, -1) is 0: level 0 is all new
         assert new == point_count(shape, n) - point_count(shape, n - 1)
         total += new
@@ -230,6 +232,14 @@ class TestSweep:
         for shape in iter_shapes(5):
             for kind in _ORACLES:
                 _check_running(kind, shape, 4)
+
+    def test_running_table_on_every_single_copy_shape(self):
+        # the single-copy letter first, in the middle and last, among up to
+        # six letters
+        for shape in iter_shapes(6):
+            if 1 in shape.parts:
+                for kind in _ORACLES:
+                    _check_running(kind, shape, 2)
 
     @pytest.mark.parametrize("kind", list(_ORACLES))
     @pytest.mark.parametrize(
@@ -250,22 +260,35 @@ class TestSweep:
         _check_running(kind, Shape(parts), n_max)
 
     def test_insertion_place_is_checked(self, monkeypatch):
-        # a planted fault: the first kind inserts a single-copy letter one
-        # place early in its parent's word
+        # a planted fault: both kinds insert a single-copy letter one place
+        # early, in its parent's word or among its parent's value blocks
         monkeypatch.setattr(
-            lattice, "bisect", lambda codes, c: max(bisect.bisect(codes, c) - 1, 0)
+            lattice, "bisect", lambda places, c: max(bisect.bisect(places, c) - 1, 0)
         )
         for parts in [(1, 2, 2), (2, 1, 2), (2, 2, 1)]:
+            for kind in _ORACLES:
+                with pytest.raises(AssertionError):
+                    _check_levels(kind, Shape(parts), 2)
+        for kind in _ORACLES:
+            _check_levels(kind, Shape((2, 2)), 2)  # no single-copy letter
+
+    def test_joined_block_is_checked(self, monkeypatch):
+        # a planted fault: the second kind opens a new block after the value
+        # block a single-copy letter should join
+        def bisect_joins_as_new(places, c):
+            r = bisect.bisect(places, c)
+            return r + r % 2
+
+        monkeypatch.setattr(lattice, "bisect", bisect_joins_as_new)
+        for parts in [(1, 1), (2, 1), (1, 2, 2)]:
             with pytest.raises(AssertionError):
-                _check_levels("first", Shape(parts), 2)
-            _check_levels("second", Shape(parts), 2)
-        _check_levels("first", Shape((2, 2)), 2)  # no single-copy letter
+                _check_levels("second", Shape(parts), 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            classify_new_points("third", Shape((1,)), 1, {})
+            classify_new_points("third", Shape((1,)), 1, {}, {})
         with pytest.raises(ValueError):
-            classify_new_points("first", Shape((1,)), -1, {})
+            classify_new_points("first", Shape((1,)), -1, {}, {})
 
 
 class TestRegionWeights:

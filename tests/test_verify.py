@@ -125,8 +125,8 @@ def _also_classify_origin_into(monkeypatch, key):
     is then caught only by the comparison of the table's size."""
     walk = verify.classify_new_points
 
-    def classify(kind, shape, n, fibers):
-        count = walk(kind, shape, n, fibers)
+    def classify(kind, shape, n, fibers, rows):
+        count = walk(kind, shape, n, fibers, rows)
         if n == 0:
             fibers[key] = {0: 1}
         return count
@@ -142,9 +142,9 @@ def _move_one_point_up(monkeypatch, key):
     move."""
     walk = verify.classify_new_points
 
-    def classify(kind, shape, n, fibers):
+    def classify(kind, shape, n, fibers, rows):
         had = key in fibers
-        count = walk(kind, shape, n, fibers)
+        count = walk(kind, shape, n, fibers, rows)
         if had or key not in fibers:
             return count
         tally = fibers[key]
@@ -166,8 +166,8 @@ def _retally_at_level(monkeypatch, at, value, step):
     point."""
     walk = verify.classify_new_points
 
-    def classify(kind, shape, n, fibers):
-        count = walk(kind, shape, n, fibers)
+    def classify(kind, shape, n, fibers, rows):
+        count = walk(kind, shape, n, fibers, rows)
         if n != at:
             return count
         point = tuple((value,) * p for p in shape.parts)
