@@ -22,6 +22,14 @@ one ``error:`` line, and a closed pipe ends it quietly with exit code 0.
 When standard output is what failed, ``main`` points it at the null
 device, so the interpreter's own flush at exit cannot fail again.
 
+``entry``, behind both the ``multiset-eulerian`` script and ``python -m
+multiset_eulerian``, calls ``gc.freeze()`` once ``main`` has returned and
+then exits with its code.  The interpreter's last garbage collections then
+skip the objects the process imported or built, which was most of a short
+command's shutdown; atexit handlers, the final flush of standard output,
+stderr and the exit code are as before.  ``main`` itself, which tests and
+tracers call in a process that goes on, never freezes.
+
 Each command, row kind and option is declared once: a subparser names
 its command function with ``set_defaults(run=...)``, ``table`` and
 ``qtable`` are one row command, ``_cmd_row``, given their row kinds
@@ -33,6 +41,7 @@ command writes through ``_sink``.  Job selection rules live in
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -355,7 +364,11 @@ def _release_stdout() -> None:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    # the process is ending: its shutdown collections need not walk what
+    # it imported or built, and atexit handlers and the flush still run
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

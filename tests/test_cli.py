@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import multiprocessing
@@ -63,15 +64,13 @@ def _lambda_error(shape, n_max):
 needs_dev_full = pytest.mark.skipif(
     not os.path.exists("/dev/full"), reason="needs /dev/full"
 )
+_VERIFY_WORKERS_2 = ("verify", "--dmax", "3", "--nmax", "2", "--workers", "2")
 _FULL_DEVICE = [
     pytest.param(
         ("verify", "--shape", "2,1", "--nmax", "1", "--identity", "decomp_first"),
         id="verify",
     ),
-    pytest.param(
-        ("verify", "--dmax", "3", "--nmax", "2", "--workers", "2"),
-        id="verify-workers-2",
-    ),
+    pytest.param(_VERIFY_WORKERS_2, id="verify-workers-2"),
     pytest.param(("table", "--shape", "2,1", "--kind", "lah"), id="table"),
     pytest.param(("qtable", "--shape", "2,1", "--kind", "C"), id="qtable"),
     pytest.param(
@@ -81,12 +80,27 @@ _FULL_DEVICE = [
 ]
 
 
-def _run_fresh(argv, stdout):
+def _python(*args, stdout=subprocess.PIPE):
+    """Run `python *args` in a fresh interpreter that imports this
+    package, with block-buffered standard output as a user has it, so the
+    interpreter's own flush at exit is exercised too."""
+    src = Path(multiset_eulerian.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+
+
+def _run_fresh(argv, stdout, module=False):
     """Run the CLI in a fresh interpreter whose real standard output is
-    `stdout`; return its exit code and stderr lines, the last of which
-    counts the workers still alive after `main`.  Standard output is
-    block-buffered, as it is for a user, so the interpreter's own flush
-    at exit is exercised too."""
+    `stdout`; return its exit code and stderr lines.  Through `cli.main`
+    the last line counts the workers still alive after `main`; with
+    `module`, through `python -m multiset_eulerian`, there is none."""
     script = (
         "import multiprocessing, sys\n"
         "from multiset_eulerian import cli\n"
@@ -95,18 +109,9 @@ def _run_fresh(argv, stdout):
         "print('children:', children, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    src = Path(multiset_eulerian.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PYTHONUNBUFFERED", None)
-    done = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        env=env,
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        text=True,
-        timeout=60,
-    )
-    return done.returncode, done.stderr.splitlines()
+    entry = ("-m", "multiset_eulerian") if module else ("-c", script)
+    done = _python(*entry, *argv, stdout=stdout)
+    return done.returncode, done.stderr.decode().splitlines()
 
 
 def _import_check(tmp_path, *argv, modules=("multiprocessing",)):
@@ -304,16 +309,69 @@ class TestOutputBytes:
         assert lines[0].startswith("error: cannot write output: ")
         assert lines[1:] == ["children: 0"], lines
 
-    @pytest.mark.parametrize("argv", _FULL_DEVICE)
-    def test_broken_stdout_pipe_exits_0(self, argv):
+    @pytest.mark.parametrize(
+        "argv, module",
+        [
+            *(pytest.param(*p.values, False, id=p.id) for p in _FULL_DEVICE),
+            # the entry point freezes the collector before the interpreter's
+            # own flush, which must still find stdout on the null device
+            pytest.param(_VERIFY_WORKERS_2, True, id="module-verify-workers-2"),
+        ],
+    )
+    def test_broken_stdout_pipe_exits_0(self, argv, module):
         # the reading end is closed first, so every write fails with EPIPE
         read, write = os.pipe()
         os.close(read)
         try:
-            code, lines = _run_fresh(argv, write)
+            code, lines = _run_fresh(argv, write, module)
         finally:
             os.close(write)
-        assert (code, lines) == (0, ["children: 0"])
+        assert (code, lines) == (0, [] if module else ["children: 0"])
+
+
+class TestEntry:
+    """`cli.entry`, behind `python -m multiset_eulerian` and the console
+    script, freezes the collector once `main` has returned; `main` never
+    does."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("verify", "--dmax", "2", "--nmax", "2"), 0),
+            (("verify", "--dmax", "x"), 2),
+            (("verify", "--dmax", "2", "--nmax", "2", "--time-limit", "0"), 3),
+        ],
+        ids=["exit-0", "exit-2", "exit-3"],
+    )
+    def test_module_matches_main(self, capsys, argv, expected):
+        # main leaves the freeze count as it found it: objects frozen in a
+        # process that goes on are never collected
+        frozen = gc.get_freeze_count()
+        code, out, err = run_cli(capsys, *argv)
+        assert gc.get_freeze_count() == frozen
+        done = _python("-m", "multiset_eulerian", *argv)
+        assert (done.returncode, done.stdout) == (code, out.encode())
+        assert (code, done.stderr) == (expected, err.encode())
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            assert len(err.splitlines()) == 1
+        if code == 3:
+            assert out == '{"truncated":true,"completed":0,"total":15}\n'
+
+    def test_atexit_handlers_run_after_the_freeze(self):
+        # a handler registered before entry runs, and it runs after the freeze
+        script = (
+            "import atexit, gc, sys\n"
+            "from multiset_eulerian import cli\n"
+            "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0,"
+            " file=sys.stderr))\n"
+            "cli.entry()\n"
+        )
+        argv = ("verify", "--dmax", "2", "--nmax", "2", "--time-limit", "0")
+        done = _python("-c", script, *argv)
+        assert done.returncode == 3
+        assert done.stdout == b'{"truncated":true,"completed":0,"total":15}\n'
+        assert done.stderr == b"frozen: True\n"
 
 
 class TestClassify:
