@@ -28,17 +28,16 @@ the dilation level, so a caller walking the levels n = 0, 1, ... in turn
 classifies each point once, at the first level that contains it, and
 after level n holds the table of every point of level n.  Each
 coordinate is coded as one integer that sorts by value descending, then
-by letter.  A node of the sweep at depth m carries the sorted integer
-codes of the tuples chosen for the first m letters and their coordinate
-sum, so each factor tuple's codes and sum are built once and a child only
-merges one tuple into its parent's sorted list; a leaf builds its point's
-key from the codes in place.  A shape with a single-copy letter beside
-other letters is the exception, for both kinds: that letter is the leaf
-level, and a leaf's place in its parent's word, or among its parent's
-value blocks, is where its one code sorts in, so the leaf needs no sort
-and builds no key.  Each place of a parent pattern holds the bucket of
-the fiber table its leaves land in; these rows belong to that one table
-and live as long as it does, one job's worth of levels.
+by letter.  A node of the sweep carries the sorted codes of the tuples
+chosen so far and their coordinate sum, so each factor tuple's codes and
+sum are built once and a child only merges one tuple into its parent's
+sorted list.  The last coordinate of one letter is not merged: a point's
+place in its parent's word, or among its parent's value blocks, is where
+that one code sorts in (either side of a tie with an equal coordinate of
+its letter gives the same word and block), so a point needs no sort and
+builds no key.  Each place of a parent pattern holds the bucket of the
+fiber table its leaves land in; these rows belong to that one table and
+live as long as it does, one job's worth of levels.
 :func:`classify_first` and :func:`classify_second` are the one-point case
 of the same sweep.
 """
@@ -150,9 +149,7 @@ def _sweep(
     some coordinate equal to `top` are visited.
 
     Returns the number of points classified.  The stack holds at most one
-    entry per tuple of each factor, never the points; the tuples of one
-    factor, the leaf level, are merged in at the leaves.  It is the last
-    factor, except for the insertion path below.
+    entry per tuple of each factor, never the points.
 
     A coordinate of value v of letter j (numbered from 1) is coded as the
     integer (N - v) * (L + 1) + j, where N is the largest value and L the
@@ -168,29 +165,33 @@ def _sweep(
     top class may sit at the dilation bound and the bottom one at 0, so
     the number of blocks is the number of distinct values.
 
-    The insertion path serves both kinds when there are two letters or
-    more and one of them, j, has a single copy: the last such letter's
-    factor is the leaf level.  A parent node computes once its pattern and
-    its places.  For the first kind they are its word and its codes, and
-    a leaf's place r = `bisect(places, c)` of its one code c is where j
-    enters the word; codes of different letters never tie, so that is the
-    exact merge position, with the letter tie order kept.  For the second
-    kind the pattern is the content integer before each value block, then
-    the whole content, and the places are each block's code bounds
-    [low, high), the codes of its value; an odd r means j joins block
-    (r - 1) / 2, and an even r means j opens a new block after r / 2
-    blocks.  A leaf then tallies into `rows[pattern][r]`, the bucket of
+    Every point is placed by one coordinate: the last one of the leaf
+    letter j, the last letter with the fewest copies.  The walk runs once
+    per head, the codes of a tuple of j but the last, over the other
+    letters; a parent node computes once its pattern and its places, and
+    a leaf's place is r = `bisect(places, c)` of its code c.  For the
+    first kind they are the parent's word and codes, and r is where j
+    enters the word.  For the second kind the pattern is the content
+    integer before each value block, then the whole content, and the
+    places are each block's code bounds [low, high); an odd r means j
+    joins block (r - 1) / 2, and an even r means j opens a new block after
+    r / 2 blocks.  Only a head copy of j can tie with c: either side of
+    the tie gives the same word, so both places share a bucket, and a
+    bound, a multiple of L + 1, is never a code, so a tied leaf joins its
+    value's block.  A leaf tallies into `rows[pattern][r]`, the bucket of
     its fiber in `fibers`, built with its key when the first point lands
     in it.  The pattern does not depend on the level, so one `rows` serves
-    every level of one table, and only that table.  A shape with no
-    single-copy letter sorts each leaf's merged codes instead.
+    every level of one table, and only that table.
     """
     first = kind == "first"
+    if not factors:  # the empty point: the empty word, the chain ((),)
+        fibers[() if first else ((),)] = {0: 1}
+        return 1
     letters = len(factors)
     width = letters + 1  # codes of one value: one per letter, 1..L
     parts = tuple(len(tuples[0]) for tuples in factors)
-    radix = max(parts, default=0) + 1
-    largest = max((xs[0] for tuples in factors for xs in tuples if xs), default=0)
+    radix = max(parts) + 1
+    largest = max(xs[0] for tuples in factors for xs in tuples)
     # code -> its letter (first kind) or what its letter adds to the content
     # integer (second kind); only the codes that occur, so a point with a
     # huge value costs no more table than its coordinates
@@ -210,26 +211,31 @@ def _sweep(
     # content integer -> its vertex, built as met, so every chain shares
     # the vertex tuples; a chain runs from 0 up to the full content `parts`
     vertices = {0: (0,) * letters}
-    # the insertion path: the last single-copy letter's tuples are the leaves
-    insert = letters > 1 and 1 in parts
-    if insert:
-        j = letters - parts[::-1].index(1)
-        last = levels.pop(j - 1)
-    else:
-        last = levels.pop() if levels else [([], 0, False)]
-    last_top = [entry for entry in last if entry[2]]
+    j = letters - parts[::-1].index(min(parts))
     total = 0
-    # a node is new once one of its tuples holds `top` (from the root when
-    # there is no `top`); a node that is not new by the last letter visits
-    # only that letter's tuples that hold it
-    stack = [([], 0, 0, top is None)]
-    while stack:
-        codes, s, depth, new = stack.pop()
-        if depth < len(levels):
-            for keyed, t, has_top in levels[depth]:
-                stack.append((sorted(codes + keyed), s + t, depth + 1, new or has_top))
-            continue
-        if insert:
+    # the leaf letter's tuples that share a head, their codes but the last,
+    # are adjacent, as the factor is in lex order
+    for head, group in itertools.groupby(levels.pop(j - 1), lambda e: e[0][:-1]):
+        entries = list(group)
+        # each tuple's last code and coordinate sum; then only those of the
+        # tuples that hold `top`, all of them when the head does
+        leaves = [(keyed[-1], t) for keyed, t, _ in entries]
+        leaves_top = [(keyed[-1], t) for keyed, t, has_top in entries if has_top]
+        # a node is new once one of its tuples holds `top` (from the root
+        # when there is no `top`); a node that is not new by the leaves
+        # places only `leaves_top`
+        stack = [(head, 0, 0, top is None)]
+        while stack:
+            codes, s, depth, new = stack.pop()
+            if depth < len(levels):
+                for keyed, t, has_top in levels[depth]:
+                    stack.append(
+                        (sorted(codes + keyed), s + t, depth + 1, new or has_top)
+                    )
+                continue
+            batch = leaves if new else leaves_top
+            if not batch:
+                continue
             if first:
                 pattern = tuple(map(letter_of, codes))
                 places = codes
@@ -251,9 +257,9 @@ def _sweep(
             row = rows.get(pattern)
             if row is None:
                 row = rows[pattern] = [None] * (len(places) + 1)
-            for (c,), t, _ in last if new else last_top:
-                # c ties with no place: r is the exact merge place (first
-                # kind), or odd inside a value block, even between two
+            for c, t in batch:
+                # r is the merge place, up to a tie with a head copy of j
+                # (first kind), or odd inside a value block, even between two
                 r = bisect(places, c)
                 bucket = row[r]
                 if bucket is None:
@@ -272,33 +278,6 @@ def _sweep(
                 weight = s + t
                 bucket[weight] = bucket.get(weight, 0) + 1
                 total += 1
-            continue
-        for keyed, t, _ in last if new else last_top:
-            merged = codes + keyed
-            merged.sort()
-            if first:
-                key = tuple(map(letter_of, merged))
-            else:
-                chain = []
-                x = 0
-                bound = 0  # the first code opens a class at the zero vertex
-                for c in merged:
-                    if c >= bound:
-                        try:
-                            vertex = vertices[x]
-                        except KeyError:
-                            vertex = vertices[x] = _vertex(x, radix, letters)
-                        chain.append(vertex)
-                        bound = c - c % width + width  # the next value's codes
-                    x += table[c]
-                chain.append(parts)
-                key = tuple(chain)
-            bucket = fibers.get(key)
-            if bucket is None:
-                bucket = fibers[key] = {}
-            weight = s + t
-            bucket[weight] = bucket.get(weight, 0) + 1
-            total += 1
     return total
 
 

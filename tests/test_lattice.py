@@ -222,6 +222,15 @@ def _check_running(kind, shape, n_max):
         assert (total, fibers) == _oracle_table(kind, shape, n, new_only=False)
 
 
+def _one_place_early(places, c):
+    return max(bisect.bisect(places, c) - 1, 0)
+
+
+def _joins_as_new(places, c):
+    r = bisect.bisect(places, c)
+    return r + r % 2
+
+
 class TestSweep:
     def test_matches_point_by_point_oracles(self):
         for shape in iter_shapes(5):
@@ -233,13 +242,12 @@ class TestSweep:
             for kind in _ORACLES:
                 _check_running(kind, shape, 4)
 
-    def test_running_table_on_every_single_copy_shape(self):
-        # the single-copy letter first, in the middle and last, among up to
-        # six letters
+    def test_running_table_on_every_shape_to_size_six(self):
+        # the leaf letter first, in the middle and last, with one copy or
+        # more, among up to six letters
         for shape in iter_shapes(6):
-            if 1 in shape.parts:
-                for kind in _ORACLES:
-                    _check_running(kind, shape, 2)
+            for kind in _ORACLES:
+                _check_running(kind, shape, 2)
 
     @pytest.mark.parametrize("kind", list(_ORACLES))
     @pytest.mark.parametrize(
@@ -253,36 +261,64 @@ class TestSweep:
             ((1, 5), 4),
             ((1, 2), 10),  # a single-copy letter first, then in the middle,
             ((2, 1, 2), 6),  # inserted among many distinct values
+            ((3, 2, 3), 2),  # the leaf letter in the middle, with two copies
+            ((4, 4), 3),  # a leaf tied with a head copy of its letter
+            ((2, 2, 2), 3),
+            ((6,), 6),
         ],
     )
     def test_integer_codes_at_their_edges(self, kind, parts, n_max):
         _check_levels(kind, Shape(parts), n_max)
         _check_running(kind, Shape(parts), n_max)
 
-    def test_insertion_place_is_checked(self, monkeypatch):
-        # a planted fault: both kinds insert a single-copy letter one place
-        # early, in its parent's word or among its parent's value blocks
-        monkeypatch.setattr(
-            lattice, "bisect", lambda places, c: max(bisect.bisect(places, c) - 1, 0)
-        )
-        for parts in [(1, 2, 2), (2, 1, 2), (2, 2, 1)]:
-            for kind in _ORACLES:
-                with pytest.raises(AssertionError):
-                    _check_levels(kind, Shape(parts), 2)
-        for kind in _ORACLES:
-            _check_levels(kind, Shape((2, 2)), 2)  # no single-copy letter
-
-    def test_joined_block_is_checked(self, monkeypatch):
-        # a planted fault: the second kind opens a new block after the value
-        # block a single-copy letter should join
-        def bisect_joins_as_new(places, c):
-            r = bisect.bisect(places, c)
-            return r + r % 2
-
-        monkeypatch.setattr(lattice, "bisect", bisect_joins_as_new)
-        for parts in [(1, 1), (2, 1), (1, 2, 2)]:
+    @pytest.mark.parametrize(
+        "fault, kind, caught, passed",
+        [
+            # the leaf one place early, in its parent's word or among its
+            # parent's value blocks; in a word of (3,) every letter is 1
+            pytest.param(
+                _one_place_early,
+                "first",
+                [(1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2)],
+                [(3,)],
+                id="one_place_early-first",
+            ),
+            pytest.param(
+                _one_place_early,
+                "second",
+                [(1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2), (3,)],
+                [],
+                id="one_place_early-second",
+            ),
+            # a new block opened after the value block the leaf should join
+            pytest.param(
+                _joins_as_new,
+                "second",
+                [(1, 1), (2, 1), (1, 2, 2), (3,)],
+                [],
+                id="joins_as_new-second",
+            ),
+            # the leaf placed before a head copy of its letter that it ties
+            # with, not after it: the same word, and still inside its block
+            *(
+                pytest.param(
+                    bisect.bisect_left,
+                    kind,
+                    [],
+                    [shape.parts for shape in iter_shapes(5)],
+                    id=f"bisect_left-{kind}",
+                )
+                for kind in _ORACLES
+            ),
+        ],
+    )
+    def test_planted_bisect_fault(self, monkeypatch, fault, kind, caught, passed):
+        monkeypatch.setattr(lattice, "bisect", fault)
+        for parts in caught:
             with pytest.raises(AssertionError):
-                _check_levels("second", Shape(parts), 2)
+                _check_levels(kind, Shape(parts), 3)
+        for parts in passed:  # the fault is equivalent on these shapes
+            _check_levels(kind, Shape(parts), 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
