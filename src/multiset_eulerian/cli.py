@@ -20,7 +20,9 @@ wait to express, is served as an untimed run.  An ``--output`` that
 cannot be opened, or an output on a full device, ends the command with
 one ``error:`` line, and a closed pipe ends it quietly with exit code 0.
 When standard output is what failed, ``main`` points it at the null
-device, so the interpreter's own flush at exit cannot fail again.
+device, so the interpreter's own flush at exit cannot fail again.  While
+a command runs, ``main`` lifts CPython's limit on the digits of an
+int-decimal conversion, so every value is read and written exactly.
 
 ``entry``, behind both the ``multiset-eulerian`` script and ``python -m
 multiset_eulerian``, calls ``gc.freeze()`` once ``main`` has returned and
@@ -328,10 +330,27 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _exact_decimals() -> Iterator[None]:
+    """Lift CPython's limit on the digits of an int converted to or from
+    decimal (3.10.7 on) while the block runs, and restore it after, so
+    every value is written exactly and a caller of `main` sees no change."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: "Sequence[str] | None" = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        code = args.run(args)
+        with _exact_decimals():
+            args = build_parser().parse_args(argv)
+            code = args.run(args)
     except SystemExit as exc:  # --help, which prints usage and exits 0
         return exc.code
     except UsageError as exc:

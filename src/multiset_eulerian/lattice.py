@@ -36,8 +36,12 @@ place in its parent's word, or among its parent's value blocks, is where
 that one code sorts in (either side of a tie with an equal coordinate of
 its letter gives the same word and block), so a point needs no sort and
 builds no key.  Each place of a parent pattern holds the bucket of the
-fiber table its leaves land in; these rows belong to that one table and
-live as long as it does, one job's worth of levels.
+fiber table its leaves land in, made when its first point lands there.
+A second-kind row also keeps, made once with it, the vertices of the
+pattern's contents and of the same contents with one more copy of the
+leaf letter, so a new bucket's chain is two slices of them.  These rows
+belong to that one table and live as long as it does, one job's worth of
+levels.
 :func:`classify_first` and :func:`classify_second` are the one-point case
 of the same sweep.
 """
@@ -79,7 +83,8 @@ __all__ = [
 Point = tuple[tuple[int, ...], ...]
 # fiber key (word or chain) -> {coordinate sum: number of points}
 Fibers = dict[tuple, dict[int, int]]
-# a parent's pattern -> per place, the bucket in `Fibers` its leaves land in
+# a parent's pattern -> per place, the bucket in `Fibers` its leaves land in,
+# then, in the second kind, the pattern's vertex tuples V and W (see `_sweep`)
 Rows = dict[tuple, list]
 
 
@@ -126,14 +131,35 @@ def validate_point(point: Point, shape: Shape, n: int) -> None:
             raise ValueError(f"factor {j} is not weakly decreasing: {xs}")
 
 
-def _vertex(x: int, radix: int, letters: int) -> Vector:
-    """Content vector whose digits, least significant first, in radix
-    `radix` are the integer `x`."""
-    digits = []
-    for _ in range(letters):
-        x, digit = divmod(x, radix)
-        digits.append(digit)
-    return tuple(digits)
+class _Vertices(dict):
+    """Content integer -> the content vector whose digits, least
+    significant first, in radix `radix` are that integer.  A vertex is
+    decoded when first looked up, so only the content integers that occur
+    are decoded, and every chain shares the vertex tuples."""
+
+    def __init__(self, radix: int, letters: int) -> None:
+        super().__init__()
+        self.radix = radix
+        self.letters = letters
+
+    def __missing__(self, x: int) -> Vector:
+        digits = []
+        rest = x
+        for _ in range(self.letters):
+            rest, digit = divmod(rest, self.radix)
+            digits.append(digit)
+        vertex = self[x] = tuple(digits)
+        return vertex
+
+
+def _row_vertices(
+    pattern: tuple[int, ...], step: int, vertices: _Vertices
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """V and W of a second-kind parent pattern: the vertex of each of its
+    content integers, and of each with one more copy of the leaf letter,
+    which adds `step`."""
+    vertex = vertices.__getitem__
+    return tuple(map(vertex, pattern)), tuple(map(vertex, [x + step for x in pattern]))
 
 
 def _sweep(
@@ -180,8 +206,13 @@ def _sweep(
     bound, a multiple of L + 1, is never a code, so a tied leaf joins its
     value's block.  A leaf tallies into `rows[pattern][r]`, the bucket of
     its fiber in `fibers`, built with its key when the first point lands
-    in it.  The pattern does not depend on the level, so one `rows` serves
-    every level of one table, and only that table.
+    in it.  A second-kind row keeps two more entries after its buckets,
+    made once with it: V, the vertex of each content integer of the
+    pattern, and W, the vertex of each one plus a copy of j.  The blocks
+    after j's own block hold j as well, so a bucket's chain is
+    V[: r // 2 + 1] + W[(r + 1) // 2 :].  The pattern, j and the radix do
+    not depend on the level, so one `rows` serves every level of one
+    table, and only that table.
     """
     first = kind == "first"
     if not factors:  # the empty point: the empty word, the chain ((),)
@@ -208,10 +239,9 @@ def _sweep(
             level.append((keyed, sum(xs), xs[:1] == (top,)))
         levels.append(level)
     letter_of = table.__getitem__
-    # content integer -> its vertex, built as met, so every chain shares
-    # the vertex tuples; a chain runs from 0 up to the full content `parts`
-    vertices = {0: (0,) * letters}
+    vertices = _Vertices(radix, letters)
     j = letters - parts[::-1].index(min(parts))
+    step = radix ** (j - 1)  # what a copy of j adds to a content integer
     total = 0
     # the leaf letter's tuples that share a head, their codes but the last,
     # are adjacent, as the factor is in lex order
@@ -257,6 +287,8 @@ def _sweep(
             row = rows.get(pattern)
             if row is None:
                 row = rows[pattern] = [None] * (len(places) + 1)
+                if not first:
+                    row += _row_vertices(pattern, step, vertices)
             for c, t in batch:
                 # r is the merge place, up to a tie with a head copy of j
                 # (first kind), or odd inside a value block, even between two
@@ -265,15 +297,8 @@ def _sweep(
                 if bucket is None:
                     if first:
                         key = pattern[:r] + (letter_of(c),) + pattern[r:]
-                    else:
-                        # the blocks after j's own block hold j as well
-                        xs = pattern[: r // 2 + 1] + tuple(
-                            x + table[c] for x in pattern[(r + 1) // 2 :]
-                        )
-                        for x in xs:
-                            if x not in vertices:
-                                vertices[x] = _vertex(x, radix, letters)
-                        key = tuple(map(vertices.__getitem__, xs))
+                    else:  # V up to j's own block, W from there on
+                        key = row[-2][: r // 2 + 1] + row[-1][(r + 1) // 2 :]
                     bucket = row[r] = fibers.setdefault(key, {})
                 weight = s + t
                 bucket[weight] = bucket.get(weight, 0) + 1

@@ -169,9 +169,12 @@ def lah_row(shape: Shape) -> Row:
     """Number of (permutation, k-segment split) pairs by k: the ordered
     analog of the third-kind numbers, in closed form."""
     d = shape.size
-    mult = multinomial(shape.parts)
-    values = tuple(mult * binomial(d - 1, k - 1) for k in range(1, d + 1))
-    return Row(shape, 1, values)
+    values = [multinomial(shape.parts)]
+    # entry k + 1 is entry k times C(d-1, k) / C(d-1, k-1) = (d-k) / k, an
+    # exact division, so no entry computes a binomial from scratch
+    for k in range(1, d):
+        values.append(values[-1] * (d - k) // k)
+    return Row(shape, 1, tuple(values))
 
 
 def a_polynomials(shape: Shape) -> Row:

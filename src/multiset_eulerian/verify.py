@@ -46,6 +46,8 @@ import time
 from collections import namedtuple
 from contextlib import suppress
 from enum import Enum
+from itertools import repeat
+from operator import eq
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -235,13 +237,13 @@ def _decomposition(kind: str, new_objects, key, closed) -> Checker:
                     ok = False
                 # tallies hold only positive counts and members are distinct
                 # fiber keys, so with the size check below the table is the
-                # predicted one
+                # predicted one; `eq`, not `fiber.__eq__`, whose
+                # NotImplemented for a missing fiber is truthy
                 fiber = {e: c for e, c in enumerate(weight.coeffs) if c}
                 if fiber:
                     size += len(members)
-                    for member in members:
-                        if fibers.get(member) != fiber:
-                            ok = False
+                    if not all(map(eq, repeat(fiber), map(fibers.get, members))):
+                        ok = False
             if size != len(fibers):
                 ok = False
             return CheckRecord(n, expected_total, total, ok)

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -19,6 +20,7 @@ import multiset_eulerian
 from multiset_eulerian import verify
 from multiset_eulerian.cli import main
 from multiset_eulerian.combinatorics import Shape
+from multiset_eulerian.qpoly import multinomial
 
 
 DATA = Path(__file__).parent / "data" / "cli"
@@ -372,6 +374,70 @@ class TestEntry:
         assert done.returncode == 3
         assert done.stdout == b'{"truncated":true,"completed":0,"total":15}\n'
         assert done.stderr == b"frozen: True\n"
+
+
+def _digit_limit():
+    """CPython's limit on the digits of an int converted to or from
+    decimal, 0 for none; there is none before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _decimal(text):
+    """The int a decimal string names, however many digits it has."""
+    if not _digit_limit():
+        return int(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("module", [False, True], ids=["main", "module"])
+class TestLongValues:
+    """A value of more than 4,300 digits, CPython's default limit on a
+    decimal conversion, is written exactly, through `main` and through
+    `python -m multiset_eulerian`; `main` leaves the limit as it found it."""
+
+    def _run(self, capsys, argv, module):
+        if module:
+            done = _python("-m", "multiset_eulerian", *argv)
+            return done.returncode, done.stdout.decode()
+        limit = _digit_limit()
+        code, out, _ = run_cli(capsys, *argv)
+        assert _digit_limit() == limit
+        return code, out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_verify(self, capsys, module, workers):
+        # lah's lhs at n = 0 is the multinomial of the shape
+        shape = (2000,) * 4
+        argv = ("verify", "--identity", "lah", "--nmax", "0", "--workers", workers)
+        argv += ("--shape", ",".join(map(str, shape)))
+        code, out = self._run(capsys, argv, module)
+        assert code == 0
+        (line,) = out.splitlines()
+        report = json.loads(line)
+        assert report["status"] == "pass"
+        (record,) = report["results"]
+        assert len(record["lhs"]) == 4811
+        assert _decimal(record["lhs"]) == multinomial(shape)
+
+    def test_table(self, capsys, module):
+        # a row of 2000,2000,2000,2000 has 8,000 entries, seconds of
+        # conversion; the row of 1^1450 has 1,450, and its middle entry,
+        # its largest, has 4,391 digits
+        d = 1450
+        argv = ("table", "--kind", "lah", "--shape", ",".join(["1"] * d))
+        code, out = self._run(capsys, argv, module)
+        assert code == 0
+        values = [row["value"] for row in json.loads(out)["rows"]]
+        assert len(values) == d
+        middle = (d - 1) // 2
+        assert max(map(len, values)) == len(values[middle]) == 4391
+        assert _decimal(values[0]) == math.factorial(d)
+        assert _decimal(values[middle]) == math.factorial(d) * math.comb(d - 1, middle)
 
 
 class TestClassify:

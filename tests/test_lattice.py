@@ -231,6 +231,33 @@ def _joins_as_new(places, c):
     return r + r % 2
 
 
+_ROW_VERTICES = lattice._row_vertices
+
+
+def _next_letter_step(pattern, step, vertices):
+    # the step of the letter after j, never j's own
+    return _ROW_VERTICES(pattern, step * vertices.radix, vertices)
+
+
+def _first_letter_step(pattern, step, vertices):
+    # the step of letter 1, j's own where j is letter 1
+    return _ROW_VERTICES(pattern, 1, vertices)
+
+
+def _swapped(pattern, step, vertices):
+    return _ROW_VERTICES(pattern, step, vertices)[::-1]
+
+
+def _but(passed):
+    """Every shape with d <= 5 but those in `passed`."""
+    return [s.parts for s in iter_shapes(5) if s.parts not in passed]
+
+
+# the shapes with d <= 5 whose leaf letter, the last one with the fewest
+# copies, is letter 1
+_LEAF_FIRST = [(1,), (2,), (3,), (4,), (5,), (1, 2), (1, 3), (1, 4), (2, 3), (1, 2, 2)]
+
+
 class TestSweep:
     def test_matches_point_by_point_oracles(self):
         for shape in iter_shapes(5):
@@ -319,6 +346,30 @@ class TestSweep:
                 _check_levels(kind, Shape(parts), 3)
         for parts in passed:  # the fault is equivalent on these shapes
             _check_levels(kind, Shape(parts), 3)
+
+    @pytest.mark.parametrize(
+        "fault, caught, passed",
+        [
+            # W, a second-kind row's vertices with one more copy of the leaf
+            # letter j, built with another letter's step
+            pytest.param(_next_letter_step, _but([]), [], id="next_letter_step"),
+            pytest.param(
+                _first_letter_step,
+                _but(_LEAF_FIRST),
+                _LEAF_FIRST,
+                id="first_letter_step",
+            ),
+            # each key then reads W up to j's block and V after it
+            pytest.param(_swapped, _but([]), [], id="v_w_swapped"),
+        ],
+    )
+    def test_planted_key_fault(self, monkeypatch, fault, caught, passed):
+        monkeypatch.setattr(lattice, "_row_vertices", fault)
+        for parts in caught:
+            with pytest.raises(AssertionError):
+                _check_levels("second", Shape(parts), 3)
+        for parts in passed:  # the fault is equivalent on these shapes
+            _check_levels("second", Shape(parts), 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -158,6 +158,22 @@ def _move_one_point_up(monkeypatch, key):
     monkeypatch.setattr(verify, "classify_new_points", classify)
 
 
+def _rekey_one_fiber(monkeypatch, key, to):
+    """Make the oracle's walk move the fiber `key`, its tally intact, to the
+    key `to`, which no member has, at the first level where the fiber has
+    points.  The table keeps its size, so only the comparison of each
+    member's fiber can catch the move."""
+    walk = verify.classify_new_points
+
+    def classify(kind, shape, n, fibers, rows):
+        count = walk(kind, shape, n, fibers, rows)
+        if key in fibers:
+            fibers[to] = fibers.pop(key)
+        return count
+
+    monkeypatch.setattr(verify, "classify_new_points", classify)
+
+
 def _retally_at_level(monkeypatch, at, value, step):
     """Make the oracle's walk, at level `at` only, add `step` to the new-point
     count and to the tally of the point whose every coordinate is `value`,
@@ -253,6 +269,31 @@ class TestPassingIdentities:
                 report = check_identity(IdentityId.DECOMP_SECOND, Shape((1, 1)), 1)
                 # the chain has no point at level 0, which still passes
                 assert report.counterexample.n == 1
+
+    @pytest.mark.parametrize(
+        "identity, parts, member, to",
+        [
+            # 132 first gets points at level 1; 999 is no word of the shape
+            (IdentityId.DECOMP_FIRST, (1, 1, 1), (1, 3, 2), (9, 9, 9)),
+            # a two-block chain first gets points at level 1
+            (
+                IdentityId.DECOMP_SECOND,
+                (1, 1),
+                ((0, 0), (1, 0), (1, 1)),
+                ((0, 0), (2, 0), (2, 2)),
+            ),
+        ],
+    )
+    def test_missing_member_fiber_fails_with_the_right_size(
+        self, monkeypatch, identity, parts, member, to
+    ):
+        # the member's fiber is gone, and the table still has as many
+        # fibers as the classes predict; the per-member comparison must
+        # fail, where `dict.__eq__(None)`, NotImplemented, would be truthy
+        _rekey_one_fiber(monkeypatch, member, to)
+        records = check_identity(identity, Shape(parts), 1).records
+        assert [r.equal for r in records] == [True, False]
+        assert all(r.lhs == r.rhs for r in records)
 
     @pytest.mark.parametrize(
         "identity", [IdentityId.DECOMP_FIRST, IdentityId.DECOMP_SECOND]
